@@ -164,14 +164,15 @@ class FormalContext:
         """All closed attribute masks, in lectic order."""
         check_guard(len(self.attributes), CONCEPTS_GUARD, "concept enumeration")
         if len(self.attributes) <= _POWERSET_LIMIT:
-            out = sorted({self._close_amask(s) for s in range(1 << len(self.attributes))})
-            # re-sort lectically for a stable, order-independent contract
-            return sorted(out, key=self._lectic_key)
+            closed = {self._close_amask(s) for s in range(1 << len(self.attributes))}
+            return sorted(closed, key=self._lectic_key)
         return list(self._next_closure_masks())
 
     def _lectic_key(self, mask: int) -> tuple:
+        """Lectic order: of two sets, the one holding the first attribute
+        where they differ comes later (the order NextClosure yields)."""
         n = len(self.attributes)
-        return tuple(1 - (mask >> j & 1) for j in range(n))
+        return tuple(mask >> j & 1 for j in range(n))
 
     def _next_closure_masks(self):
         n = len(self.attributes)

@@ -1,12 +1,23 @@
-"""Duality of antichains of downsets and the subexponential duality test."""
+"""Duality of antichains of downsets and the subexponential duality test.
+
+The recursive test runs on bitmasks over the root poset.  A subproblem is
+a triple (U, A, B): U is the universe mask of the subposet it lives on,
+and A and B are sorted tuples of masks, each member a downset of that
+subposet.  Restricting to P minus down(p) or up(p) is a mask `& ~`, so no
+subposet is ever built; names are translated only at the boundary.  A memo
+that lives for one call keys each subproblem by its triple and stores its
+verdict with the size of its subtree, so the reported node count is that
+of the full recursion tree, repeated subproblems included.
+"""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .poset import Poset, freq, freq_complement, is_antichain, maximal_members, minimal_members
+from .poset import Poset, _bits, maximal_members
 
 # Slack applied only on the early-reject side of the frequency thresholds:
 # borderline values are treated as passing, so a false "not dual" is never
@@ -27,15 +38,84 @@ class DualityInstance:
         key = lambda s: (len(s), sorted(index[e] for e in s))
         a = tuple(sorted(map(frozenset, a), key=key))
         b = tuple(sorted(map(frozenset, b), key=key))
+        universe = (1 << len(poset)) - 1
         for fam, label in ((a, "A"), (b, "B")):
-            for member in fam:
-                if not poset.is_downset(member):
+            masks = [poset._mask(member) for member in fam]
+            for member, mask in zip(fam, masks):
+                if not _is_downset(poset, universe, mask):
                     raise ValueError(f"{label}-member {sorted(member)} is not a downset")
-            if not is_antichain(fam):
+            if not _is_antichain(masks):
                 raise ValueError(f"family {label} is not an antichain")
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+
+def _masks(inst: DualityInstance) -> tuple:
+    """The instance as a mask triple (U, A, B) over its own poset."""
+    poset = inst.poset
+    return (
+        (1 << len(poset)) - 1,
+        tuple(sorted(map(poset._mask, inst.a))),
+        tuple(sorted(map(poset._mask, inst.b))),
+    )
+
+
+def _is_downset(poset: Poset, universe: int, mask: int) -> bool:
+    """mask is a downset of the subposet induced on universe.
+
+    Either no element of mask has a predecessor in U outside it, or no
+    element of U outside mask has a successor in it; the side with fewer
+    elements to test is checked.  Minimal (maximal) elements of the poset
+    need no test on their side.
+    """
+    if mask & ~universe:
+        return False
+    outside = universe & ~mask
+    inner = mask & poset._nonmin
+    outer = outside & poset._nonmax
+    if not inner or not outer:
+        return True
+    if inner.bit_count() <= outer.bit_count():
+        down = poset._down
+        return not any(down[i] & outside for i in _bits(inner))
+    up = poset._up
+    return not any(up[i] & mask for i in _bits(outer))
+
+
+def _is_antichain(family) -> bool:
+    """No member contains another; a repeated member counts as contained."""
+    if len(family) < 2:
+        return True
+    if len(set(family)) != len(family):
+        return False
+    # Distinct members of equal size are incomparable, so each member is
+    # tested only against strictly larger ones.
+    by_size = sorted(family, key=int.bit_count)
+    sizes = [s.bit_count() for s in by_size]
+    for s, size in zip(by_size, sizes):
+        larger = by_size[bisect_right(sizes, size):]
+        if any(s & ~t == 0 for t in larger):
+            return False
+    return True
+
+
+def _minimal(family) -> tuple:
+    """Subset-minimal masks, deduplicated, as a sorted tuple."""
+    out = []
+    for s in sorted(set(family), key=int.bit_count):
+        if all(t & ~s for t in out):
+            out.append(s)
+    return tuple(sorted(out))
+
+
+def _maximal(family) -> tuple:
+    """Subset-maximal masks, deduplicated, as a sorted tuple."""
+    out = []
+    for s in sorted(set(family), key=int.bit_count, reverse=True):
+        if all(s & ~t for t in out):
+            out.append(s)
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -49,17 +129,21 @@ def check_star(inst: DualityInstance) -> bool:
     return not any(a <= b for a in inst.a for b in inst.b)
 
 
+def _easy(universe: int, a: tuple, b: tuple) -> bool:
+    """Empty A is dual exactly to {P}; empty B exactly to {empty set}."""
+    if not a:
+        return b == (universe,)
+    return a == (0,)
+
+
 def easy_test(inst: DualityInstance) -> bool:
     """Degenerate duality test when one family is empty.
 
     Empty A is dual exactly to {P}; empty B exactly to {empty set}.
     """
-    whole = frozenset(inst.poset.elements)
-    if not inst.a:
-        return inst.b == (whole,)
-    if not inst.b:
-        return inst.a == (frozenset(),)
-    raise ValueError("easy_test requires an empty A or B family")
+    if inst.a and inst.b:
+        raise ValueError("easy_test requires an empty A or B family")
+    return _easy(*_masks(inst))
 
 
 def brute_force_dual(inst: DualityInstance) -> DualityVerdict:
@@ -81,11 +165,33 @@ def brute_force_dual(inst: DualityInstance) -> DualityVerdict:
 
 def dualize_brute(a_family, poset: Poset) -> list:
     """The dual antichain: maximal downsets containing no A-member (guarded)."""
-    a_family = [frozenset(s) for s in a_family]
-    free = [
-        x for x in poset.all_downsets() if not any(a <= x for a in a_family)
-    ]
-    return maximal_members(free)
+    # An A-member naming an element outside the poset lies in no downset.
+    a_masks = [poset._mask(s) for s in map(frozenset, a_family) if s <= poset._idx.keys()]
+    free = [x for x in poset._downset_masks() if not any(a & ~x == 0 for a in a_masks)]
+    return maximal_members(map(poset._members, _maximal(free)))
+
+
+def _split(poset: Poset, universe: int, a: tuple, b: tuple, p: int) -> tuple:
+    """The decomposition at element index p: two (U, A, B) mask triples.
+
+    The first lives on U minus down(p), the second on U minus up(p).  Raw
+    families are normalized back to antichains (minimal members on the
+    A-side, maximal on the B-side).
+    """
+    below = poset._down[p] & universe
+    above = poset._up[p] & universe
+    bit = 1 << p
+    first = (
+        universe & ~below,
+        _minimal([x & ~below for x in a]),
+        _maximal([y & ~below for y in b if y & bit]),
+    )
+    second = (
+        universe & ~above,
+        tuple(x for x in a if not x & bit),
+        _maximal([y & ~above for y in b]),
+    )
+    return first, second
 
 
 def decompose(inst: DualityInstance, p: str):
@@ -95,61 +201,110 @@ def decompose(inst: DualityInstance, p: str):
     (minimal members on the A-side, maximal on the B-side).
     """
     poset = inst.poset
-    dp = poset.down_set(p)
-    up = poset.up_set(p)
-    rest1 = set(poset.elements) - dp
-    rest2 = set(poset.elements) - up
-    a1 = minimal_members([a - dp for a in inst.a])
-    b1 = maximal_members([b - dp for b in inst.b if p in b])
-    a2 = [a for a in inst.a if p not in a]
-    b2 = maximal_members([b - up for b in inst.b])
-    sub1 = DualityInstance(poset.restrict(rest1), a1, b1)
-    sub2 = DualityInstance(poset.restrict(rest2), a2, b2)
-    return sub1, sub2
+    halves = _split(poset, *_masks(inst), poset._index(p))
+    return tuple(
+        DualityInstance(
+            poset.restrict(poset._members(universe)),
+            map(poset._members, a),
+            map(poset._members, b),
+        )
+        for universe, a, b in halves
+    )
 
 
-def _argmax(elements, score):
-    """First element (declaration order) attaining the maximum score."""
-    best = None
-    best_score = None
-    for e in elements:
-        s = score(e)
-        if best_score is None or s > best_score:
-            best, best_score = e, s
-    return best
-
-
-def _test_duality(inst: DualityInstance, depth: int, stats: list) -> bool:
-    stats[0] += 1
+def _check(poset: Poset, universe: int, a: tuple, b: tuple, depth: int) -> None:
+    """Invariants every subproblem must meet; a failure is a bug here."""
     if depth < 0:
         raise RuntimeError("duality recursion guard exceeded (normalization bug)")
-    if not check_star(inst):
+    if any(x & ~y == 0 for x in a for y in b):
         raise RuntimeError("subproblem lost property (*) (normalization bug)")
-    if not inst.a or not inst.b:
-        return easy_test(inst)
-    poset = inst.poset
-    n = len(poset)
-    m = poset.m_value()
-    big_n = len(inst.a) + len(inst.b)
-    if m**3 > n:
-        p = _argmax(
-            poset.elements,
-            lambda e: len(poset.down_set(e)) + len(poset.up_set(e)),
-        )
-    else:
-        log_n = math.log(big_n) / math.log(4 / 3)
-        fa = {e: freq(inst.a, e) for e in poset.elements}
-        fb = {e: freq_complement(inst.b, poset, e) for e in poset.elements}
-        a_below = float(max(fa.values())) * m * log_n < 1 - _THRESHOLD_SLACK
-        b_below = float(max(fb.values())) * m * m * log_n < 1 - _THRESHOLD_SLACK
-        if a_below and b_below:
-            return False
-        p = _argmax(poset.elements, lambda e: max(fa[e], fb[e]))
-    sub1, sub2 = decompose(inst, p)
-    budget = len(poset) + big_n + 2
-    return _test_duality(sub1, min(depth, budget) - 1, stats) and _test_duality(
-        sub2, min(depth, budget) - 1, stats
-    )
+    for fam in (a, b):
+        if not all(_is_downset(poset, universe, m) for m in fam) or not _is_antichain(fam):
+            raise RuntimeError("subproblem family is not an antichain of downsets (normalization bug)")
+
+
+def _counts(family, universe: int, elems) -> list:
+    """For each element index in elems, the number of members containing it.
+
+    The members are packed into one integer, each in a slot of whole bytes
+    wide enough for the universe, so that a count is one AND with a bit
+    repeated in every slot and one popcount.
+    """
+    width = universe.bit_length() // 8 + 1
+    packed = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in family), "little")
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(family), "little")
+    return [(packed & (ones << i)).bit_count() for i in elems]
+
+
+def _pivot(poset: Poset, universe: int, a: tuple, b: tuple) -> Optional[int]:
+    """The pivot index of a subproblem with A and B nonempty, or None when
+    the frequency bounds prove it not dual.
+
+    With m the largest |down(e)| + |up(e)| in U: if m**3 exceeds |U|, the
+    element attaining m; otherwise the element of highest frequency,
+    max(|A-members containing e| / |A|, |B-members missing e| / |B|),
+    compared exactly as integers.  Ties go to the first element in
+    declaration order.
+    """
+    down, up = poset._down, poset._up
+    elems = _bits(universe)
+    scores = [(down[i] & universe).bit_count() + (up[i] & universe).bit_count() for i in elems]
+    m = max(scores)
+    if m**3 > len(elems):
+        return elems[scores.index(m)]
+    na, nb = len(a), len(b)
+    log_n = math.log(na + nb) / math.log(4 / 3)
+    in_a = _counts(a, universe, elems)
+    out_b = [nb - c for c in _counts(b, universe, elems)]
+    a_below = max(in_a) / na * m * log_n < 1 - _THRESHOLD_SLACK
+    b_below = max(out_b) / nb * m * m * log_n < 1 - _THRESHOLD_SLACK
+    if a_below and b_below:
+        return None
+    freqs = [max(ca * nb, cb * na) for ca, cb in zip(in_a, out_b)]
+    return elems[freqs.index(max(freqs))]
+
+
+def _solve(poset: Poset, universe: int, a: tuple, b: tuple) -> tuple:
+    """(dual, nodes) of a mask triple over poset.
+
+    Runs the recursion on an explicit stack.  A frame holds a subproblem's
+    key, its second half while the first is being solved, and the nodes
+    counted so far; when a half is solved its (dual, nodes) is handed to
+    the frame below.  The second half is solved only if the first is dual.
+    """
+    memo = {}
+    stack = []
+    todo = (universe, a, b, universe.bit_count() + len(a) + len(b) + 2)
+    while True:
+        if todo is not None:
+            universe, a, b, depth = todo
+            key = (universe, a, b)
+            done = memo.get(key)
+            if done is None:
+                _check(poset, universe, a, b, depth)
+                if not a or not b:
+                    done = (_easy(universe, a, b), 1)
+                elif (p := _pivot(poset, universe, a, b)) is None:
+                    done = (False, 1)
+                else:
+                    depth = min(depth, universe.bit_count() + len(a) + len(b) + 2) - 1
+                    first, second = _split(poset, universe, a, b, p)
+                    stack.append([key, (*second, depth), 1])
+                    todo = (*first, depth)
+                    continue
+                memo[key] = done
+            todo = None
+        if not stack:
+            return done
+        frame = stack[-1]
+        dual, nodes = done
+        frame[2] += nodes
+        if dual and frame[1] is not None:
+            todo, frame[1] = frame[1], None
+            continue
+        stack.pop()
+        done = (dual, frame[2])
+        memo[frame[0]] = done
 
 
 def test_duality(inst: DualityInstance) -> bool:
@@ -159,10 +314,11 @@ def test_duality(inst: DualityInstance) -> bool:
 
 
 def test_duality_stats(inst: DualityInstance):
-    """As test_duality, but also reports the number of recursive calls."""
+    """As test_duality, but also reports the number of recursive calls.
+
+    The count is the size of the full recursion tree: a subproblem solved
+    again from the memo counts its whole subtree again.
+    """
     if not check_star(inst):
         raise ValueError("property (*) violated")
-    stats = [0]
-    budget = len(inst.poset) + len(inst.a) + len(inst.b) + 2
-    dual = _test_duality(inst, budget, stats)
-    return dual, stats[0]
+    return _solve(inst.poset, *_masks(inst))

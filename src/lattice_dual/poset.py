@@ -10,14 +10,31 @@ from .util import check_guard
 DOWNSETS_GUARD = 20
 
 
+def _bits(mask: int) -> list:
+    """Indices of the set bits of a mask, ascending."""
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
+def _transpose(up) -> list:
+    """Down-masks from up-masks: bit i of down[j] is bit j of up[i]."""
+    down = [0] * len(up)
+    for i, mask in enumerate(up):
+        bit = 1 << i
+        for j in _bits(mask):
+            down[j] |= bit
+    return down
+
+
 class Poset:
     """Immutable strict partial order on named elements.
 
     leq is validated to be reflexive, transitive and antisymmetric at
-    construction.
+    construction.  The order is held as bitmasks: bit j of _up[i] (and bit
+    i of _down[j]) is set iff element i <= element j.  _nonmin and _nonmax
+    mask the elements with something strictly below, respectively above.
     """
 
-    __slots__ = ("elements", "_idx", "_up", "_down")
+    __slots__ = ("elements", "_idx", "_up", "_down", "_nonmin", "_nonmax")
 
     def __init__(self, elements, leq):
         elements = tuple(elements)
@@ -27,35 +44,41 @@ class Poset:
         matrix = [list(row) for row in leq]
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError("leq matrix dimensions do not match element count")
-        for i in range(n):
-            if not matrix[i][i]:
+        up = [sum(1 << j for j, x in enumerate(row) if x) for row in matrix]
+        self._store(elements, up, _transpose(up))
+
+    def _store(self, elements, up, down) -> None:
+        """Validate the order given by up- and down-masks and keep it."""
+        for i, mask in enumerate(up):
+            if not mask >> i & 1:
                 raise ValueError(f"leq not reflexive at {elements[i]!r}")
-        for i in range(n):
-            for j in range(n):
-                if i != j and matrix[i][j] and matrix[j][i]:
+        # Pairs i <= j in row-major order, so the first violation reported is
+        # the one a scan of the leq matrix meets first.
+        for i, mask in enumerate(up):
+            for j in _bits(mask):
+                if j != i and down[i] >> j & 1:
                     raise ValueError(
                         f"leq not antisymmetric: {elements[i]!r} and {elements[j]!r}"
                     )
-                if matrix[i][j]:
-                    for k in range(n):
-                        if matrix[j][k] and not matrix[i][k]:
-                            raise ValueError(
-                                f"leq not transitive at "
-                                f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
-                            )
-        up = []
-        down = [0] * n
-        for i in range(n):
-            mask = 0
-            for j in range(n):
-                if matrix[i][j]:
-                    mask |= 1 << j
-                    down[j] |= 1 << i
-            up.append(mask)
+                missing = up[j] & ~mask
+                if missing:
+                    k = (missing & -missing).bit_length() - 1
+                    raise ValueError(
+                        f"leq not transitive at "
+                        f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
+                    )
         self.elements = elements
         self._idx = {e: i for i, e in enumerate(elements)}
         self._up = tuple(up)
         self._down = tuple(down)
+        self._nonmin = sum(1 << i for i, mask in enumerate(down) if mask != 1 << i)
+        self._nonmax = sum(1 << i for i, mask in enumerate(up) if mask != 1 << i)
+
+    @classmethod
+    def _from_masks(cls, elements, up, down) -> "Poset":
+        poset = cls.__new__(cls)
+        poset._store(tuple(elements), up, down)
+        return poset
 
     @classmethod
     def from_pairs(cls, names, pairs) -> "Poset":
@@ -66,26 +89,26 @@ class Poset:
         names = tuple(names)
         idx = {e: i for i, e in enumerate(names)}
         n = len(names)
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        up = [1 << i for i in range(n)]
         for a, b in pairs:
             if a not in idx or b not in idx:
                 raise ValueError(f"unknown name in pair ({a!r}, {b!r})")
-            leq[idx[a]][idx[b]] = True
+            up[idx[a]] |= 1 << idx[b]
+        # Warshall's closure, one bitmask row at a time.
         for k in range(n):
+            bit, row = 1 << k, up[k]
             for i in range(n):
-                if leq[i][k]:
-                    row_k = leq[k]
-                    row_i = leq[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
+                if up[i] & bit:
+                    up[i] |= row
+        down = _transpose(up)
         for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i][j] and leq[j][i]:
-                    raise ValueError(
-                        f"cycle detected through {names[i]!r} and {names[j]!r}"
-                    )
-        return cls(names, leq)
+            cycle = up[i] & down[i] & ~((2 << i) - 1)
+            if cycle:
+                j = (cycle & -cycle).bit_length() - 1
+                raise ValueError(f"cycle detected through {names[i]!r} and {names[j]!r}")
+        if len(idx) != n:
+            raise ValueError("element names must be pairwise distinct")
+        return cls._from_masks(names, up, down)
 
     def __len__(self):
         return len(self.elements)
@@ -95,6 +118,12 @@ class Poset:
             return self._idx[p]
         except KeyError:
             raise ValueError(f"unknown element name: {p!r}") from None
+
+    def _mask(self, xs: Iterable[str]) -> int:
+        mask = 0
+        for p in xs:
+            mask |= 1 << self._index(p)
+        return mask
 
     def _members(self, mask: int) -> frozenset:
         return frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
@@ -127,6 +156,13 @@ class Poset:
         Enumerates by recursive element inclusion along a linear
         extension, not by powerset filtering.
         """
+        sets = [self._members(m) for m in self._downset_masks()]
+        index = self._idx
+        sets.sort(key=lambda s: (len(s), sorted(index[e] for e in s)))
+        return sets
+
+    def _downset_masks(self) -> list:
+        """Every downset as a mask, in no particular order (guarded)."""
         check_guard(len(self.elements), DOWNSETS_GUARD, "downset enumeration")
         n = len(self.elements)
         order = sorted(range(n), key=lambda i: self._down[i].bit_count())
@@ -144,10 +180,7 @@ class Poset:
                 rec(k + 1, mask | (1 << i))
 
         rec(0, 0)
-        sets = [self._members(m) for m in out]
-        index = self._idx
-        sets.sort(key=lambda s: (len(s), sorted(index[e] for e in s)))
-        return sets
+        return out
 
     def restrict(self, keep: Iterable[str]) -> "Poset":
         """Induced subposet, preserving declaration order."""
@@ -156,7 +189,13 @@ class Poset:
         unknown = keep - set(names)
         if unknown:
             raise ValueError(f"unknown element names: {sorted(unknown)}")
-        return Poset(names, [[self.leq(a, b) for b in names] for a in names])
+        kept = [self._idx[e] for e in names]
+        new_index = {old: new for new, old in enumerate(kept)}
+
+        def compress(masks):
+            return [sum(1 << new_index[j] for j in _bits(masks[i]) if j in new_index) for i in kept]
+
+        return Poset._from_masks(names, compress(self._up), compress(self._down))
 
     def m_value(self) -> int:
         """max over p of |down(p)| + |up(p)|; at least 2 for nonempty posets."""
@@ -253,10 +292,19 @@ def is_antichain(family) -> bool:
 # -- JSON form: {"elements": [...], "less_than": [["a","b"], ...]} ----
 
 
+def _is_name_list(doc) -> bool:
+    return isinstance(doc, list) and all(isinstance(e, (str, int, float)) for e in doc)
+
+
 def poset_from_json(doc: dict) -> Poset:
     if not isinstance(doc, dict) or "elements" not in doc:
         raise ValueError('poset JSON must be {"elements": [...], "less_than": [...]}')
-    return Poset.from_pairs(doc["elements"], [tuple(p) for p in doc.get("less_than", [])])
+    if not _is_name_list(doc["elements"]):
+        raise ValueError('poset JSON "elements" must be a list of element names')
+    pairs = doc.get("less_than", [])
+    if not isinstance(pairs, list) or not all(_is_name_list(p) and len(p) == 2 for p in pairs):
+        raise ValueError('poset JSON "less_than" must be a list of [lower, upper] name pairs')
+    return Poset.from_pairs(doc["elements"], [tuple(p) for p in pairs])
 
 
 def poset_to_json(poset: Poset) -> dict:
@@ -271,8 +319,8 @@ def poset_to_json(poset: Poset) -> dict:
 
 def family_from_json(doc, poset: Poset) -> list:
     """Antichain-family JSON: a list of lists of element names."""
-    if not isinstance(doc, list):
-        raise ValueError("antichain family JSON must be a list of lists")
+    if not isinstance(doc, list) or not all(map(_is_name_list, doc)):
+        raise ValueError("antichain family JSON must be a list of lists of element names")
     out = []
     for member in doc:
         s = frozenset(member)

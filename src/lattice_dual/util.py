@@ -11,7 +11,12 @@ class GuardExceeded(RuntimeError):
 
 def guard_limit(default: int) -> int:
     raw = os.environ.get(GUARD_ENV)
-    return default if raw is None else int(raw)
+    if raw is None:
+        return default
+    limit = int(raw)
+    if limit < 0:
+        raise ValueError(f"{GUARD_ENV} must be a non-negative integer, got {raw!r}")
+    return limit
 
 
 def check_guard(size: int, default: int, what: str) -> None:

@@ -110,6 +110,23 @@ def planted_instance(rng: random.Random, max_n: int, max_family: int) -> Duality
     return DualityInstance(poset, fam_a, fam_b)
 
 
+def matching_instance(k: int):
+    """(poset, A, B): A = k disjoint pairs on a 2k-element antichain, B = its
+    2^k transversals, the exact dual of A.
+
+    Pair members are declared next to each other (p1 p2 | p3 p4 | ...);
+    pivot ties break by declaration order, so node counts depend on it.
+    """
+    names = [f"p{i}" for i in range(1, 2 * k + 1)]
+    poset = Poset.from_pairs(names, [])
+    fam_a = [{names[2 * i], names[2 * i + 1]} for i in range(k)]
+    fam_b = [
+        {names[2 * i + side] for i, side in enumerate(pick)}
+        for pick in itertools.product((0, 1), repeat=k)
+    ]
+    return poset, fam_a, fam_b
+
+
 def random_context(rng: random.Random, max_objects: int, max_attrs: int,
                    prefix: str = "g", min_objects: int = 1) -> FormalContext:
     n_obj = rng.randint(min_objects, max_objects)

@@ -198,6 +198,38 @@ def test_dual_guard_exit_3(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "poset_doc, fam_a, message",
+    [
+        ({"elements": ["p1", "p2"], "less_than": [1]}, [["p1"]], "less_than"),
+        ({"elements": "abc", "less_than": []}, [["a"]], "elements"),
+        ({"elements": ["p1", "p2"], "less_than": []}, [5], "family"),
+    ],
+)
+def test_dual_malformed_json_exit_2(capsys, tmp_path, poset_doc, fam_a, message):
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps(poset_doc))
+    a_path = tmp_path / "a.json"
+    a_path.write_text(json.dumps(fam_a))
+    b_path = tmp_path / "b.json"
+    b_path.write_text(json.dumps([[]]))
+    code, out, err = run_cli(
+        capsys, "dual", "test", "--poset", str(poset), "--a", str(a_path), "--b", str(b_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err and message in err
+
+
+def test_negative_guard_exit_2(capsys, tmp_path, monkeypatch):
+    poset, a, b = write_poset_inputs(tmp_path, ["p1", "p2"], [], [["p1"]], [[]])
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "-1")
+    code, out, err = run_cli(capsys, "dual", "brute", "--poset", poset, "--a", a, "--b", b)
+    assert code == 2
+    assert out == ""
+    assert "LATTICE_DUAL_GUARD" in err
+
+
 # -- reduce verbs ---------------------------------------------------------------
 
 

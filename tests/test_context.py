@@ -14,6 +14,8 @@ from lattice_dual import (
     write_cxt,
 )
 
+from lattice_dual import context as context_module
+
 from conftest import random_context
 
 
@@ -152,16 +154,19 @@ def test_concepts_guard():
 
 
 def test_lectic_enumeration_agrees_with_powerset(monkeypatch):
-    # force the closure-based path on a context small enough to brute force
+    # closing every subset and NextClosure yield the same list, in lectic order
     rng = random.Random(23)
-    for _ in range(5):
-        ctx = random_context(rng, 5, 5)
-        expected = {
+    contexts = [random_context(rng, 5, 5) for _ in range(5)]
+    by_powerset = [ctx.intents() for ctx in contexts]
+    monkeypatch.setattr(context_module, "_POWERSET_LIMIT", 0)
+    for ctx, expected in zip(contexts, by_powerset):
+        closed = {
             ctx.close_attributes(sub)
             for r in range(len(ctx.attributes) + 1)
             for sub in itertools.combinations(ctx.attributes, r)
         }
-        assert set(ctx.intents()) == expected
+        assert set(expected) == closed
+        assert ctx.intents() == expected
 
 
 def test_contranominal_all_subsets_closed_exhaustive():

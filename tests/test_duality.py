@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lattice_dual import (
     DualityInstance,
@@ -12,12 +14,13 @@ from lattice_dual import (
     dualize_brute,
     easy_test,
     is_antichain,
+    minimal_members,
     poset_from_pairs,
 )
 from lattice_dual import test_duality as duality_test
 from lattice_dual import test_duality_stats as duality_test_stats
 
-from conftest import planted_instance, random_instance, random_poset
+from conftest import matching_instance, planted_instance, random_instance, random_poset
 
 CHAIN3 = poset_from_pairs(["p1", "p2", "p3"], [("p1", "p2"), ("p2", "p3")])
 ANTI2 = poset_from_pairs(["p1", "p2"], [])
@@ -214,3 +217,85 @@ def test_duality_empty_poset():
     # the single downset is the empty set; A = {∅} covers it
     assert duality_test(DualityInstance(empty, [set()], []))
     assert duality_test(DualityInstance(empty, [], [set()]))
+
+
+# -- node counts -----------------------------------------------------------------
+#
+# The count is the size of the full recursion tree, subproblems answered
+# from the memo included, so these figures do not depend on the memo.
+
+
+def test_duality_stats_matching_k6_node_count():
+    poset, fam_a, fam_b = matching_instance(6)
+    assert duality_test_stats(DualityInstance(poset, fam_a, fam_b)) == (True, 1673)
+
+
+def test_duality_stats_trivial_antichain_node_count():
+    poset = poset_from_pairs([f"p{i}" for i in range(1, 101)], [])
+    inst = DualityInstance(poset, [{e} for e in poset.elements], [set()])
+    assert duality_test_stats(inst) == (True, 201)
+
+
+@pytest.mark.parametrize("drop", [0, 255, 511])
+def test_duality_stats_near_dual_k9_rejects_early(drop):
+    poset, fam_a, fam_b = matching_instance(9)
+    del fam_b[drop]
+    dual, nodes = duality_test_stats(DualityInstance(poset, fam_a, fam_b))
+    assert not dual
+    assert nodes <= 55
+
+
+def test_duality_long_chain_runs_without_recursion_limit():
+    # Recursion depth grows with the number of elements; 1,100 is past
+    # Python's default recursion limit.
+    names = [f"c{i}" for i in range(1, 1101)]
+    chain = poset_from_pairs(names, list(zip(names, names[1:])))
+    assert chain.leq("c1", "c1100") and not chain.leq("c1100", "c1")
+    inst = DualityInstance(chain, [names], [names[:-1]])
+    assert duality_test_stats(inst) == (True, 2201)
+
+
+# -- property-based agreement with the oracle -------------------------------------
+
+
+@st.composite
+def posets(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    names = [f"p{i}" for i in range(1, n + 1)]
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return poset_from_pairs(names, [(names[i], names[j]) for i, j in edges if i < j])
+
+
+@st.composite
+def planted_or_near(draw):
+    """A planted dual instance, or one with a B-member dropped."""
+    poset = draw(posets())
+    seeds = draw(st.lists(st.sets(st.sampled_from(poset.elements)), max_size=5))
+    fam_a = minimal_members(poset.down_closure(s) for s in seeds)
+    fam_b = dualize_brute(fam_a, poset)
+    if fam_b and draw(st.booleans()):
+        del fam_b[draw(st.integers(0, len(fam_b) - 1))]
+    return DualityInstance(poset, fam_a, fam_b)
+
+
+@st.composite
+def matching_or_near(draw):
+    """Matching with k >= 4 (n >= m**3, so pivots come from frequencies),
+    or the same with a B-member dropped."""
+    poset, fam_a, fam_b = matching_instance(draw(st.integers(4, 7)))
+    if draw(st.booleans()):
+        del fam_b[draw(st.integers(0, len(fam_b) - 1))]
+    return DualityInstance(poset, fam_a, fam_b)
+
+
+# Drawing a planted instance runs the brute-force dualization.
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_or_near())
+def test_duality_agrees_with_oracle_on_planted(inst):
+    assert duality_test(inst) == brute_force_dual(inst).dual
+
+
+@settings(max_examples=20, deadline=None)
+@given(matching_or_near())
+def test_duality_agrees_with_oracle_on_matching(inst):
+    assert duality_test(inst) == brute_force_dual(inst).dual

@@ -19,6 +19,7 @@ from lattice_dual import (
     poset_from_pairs,
     poset_to_json,
 )
+from lattice_dual.poset import family_from_json
 
 from conftest import random_poset
 
@@ -154,6 +155,12 @@ def test_guard_env_override(monkeypatch):
     assert len(chain(21).all_downsets()) == 22
 
 
+def test_guard_env_rejects_negative(monkeypatch):
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "-1")
+    with pytest.raises(ValueError, match="LATTICE_DUAL_GUARD"):
+        chain(3).all_downsets()
+
+
 def test_all_downsets_no_duplicates():
     rng = random.Random(47)
     for _ in range(20):
@@ -276,3 +283,33 @@ def test_poset_json_rejects_bad_shape():
         poset_from_json({"less_than": []})
     with pytest.raises(ValueError):
         poset_from_json([["a", "b"]])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"elements": "abc"},
+        {"elements": [["a"]]},
+        {"elements": ["a", "b"], "less_than": [1]},
+        {"elements": ["a", "b"], "less_than": [["a"]]},
+        {"elements": ["a", "b"], "less_than": "ab"},
+    ],
+)
+def test_poset_json_rejects_malformed_fields(doc):
+    with pytest.raises(ValueError):
+        poset_from_json(doc)
+
+
+def test_family_json_rejects_non_list_members():
+    p = chain(2)
+    assert family_from_json([["p1"], []], p) == [frozenset({"p1"}), frozenset()]
+    for doc in ([5], ["p1"], [[["p1"]]], {"p1": 1}):
+        with pytest.raises(ValueError):
+            family_from_json(doc, p)
+
+
+def test_from_pairs_long_chain():
+    names = [f"c{i}" for i in range(1, 1201)]
+    p = Poset.from_pairs(names, list(zip(names, names[1:])))
+    assert p.leq("c1", "c1200") and not p.leq("c1200", "c1")
+    assert p.m_value() == 1201
