@@ -31,6 +31,16 @@ def _read_json(path: str):
     return json.loads(_read(path))
 
 
+def _read_family(path: str) -> list:
+    """A family of attribute sets: a JSON list of lists of names."""
+    doc = _read_json(path)
+    if not isinstance(doc, list) or not all(
+        isinstance(s, list) and all(isinstance(m, str) for m in s) for s in doc
+    ):
+        raise ValueError(f"{path}: family JSON must be a list of lists of attribute names")
+    return [frozenset(s) for s in doc]
+
+
 def _parse_set(raw: str) -> list:
     if raw is None or raw == "":
         return []
@@ -96,7 +106,7 @@ def _run_hypo(args) -> int:
     elif args.subverb == "amh":
         if not args.hyps:
             raise ValueError("amh needs --hyps")
-        known = [frozenset(h) for h in _read_json(args.hyps)]
+        known = _read_family(args.hyps)
         answer = hypo_mod.decide_amh(training, known)
         _emit({"additional": answer})
         if args.strict_exit and not answer:
@@ -145,8 +155,8 @@ def _run_reduce(args) -> int:
         if not (args.context and args.a and args.b and args.base):
             raise ValueError("dci2mibr needs --context, --a, --b and --base")
         ctx = _load_context(args.context)
-        fam_a = [frozenset(s) for s in _read_json(args.a)]
-        fam_b = [frozenset(s) for s in _read_json(args.b)]
+        fam_a = _read_family(args.a)
+        fam_b = _read_family(args.b)
         base = imp_mod.implications_from_json(_read_json(args.base))
         built, extended = imp_mod.dci_to_mibr(ctx, fam_a, fam_b, base)
         _emit(

@@ -7,9 +7,6 @@ from typing import Iterable, NamedTuple
 from .util import check_guard
 
 CONCEPTS_GUARD = 25
-# Below this many attributes concepts() closes every subset; above, it
-# switches to lectic (NextClosure) enumeration.  Both must agree.
-_POWERSET_LIMIT = 16
 
 
 class Concept(NamedTuple):
@@ -92,18 +89,10 @@ class FormalContext:
         return mask
 
     def _attrs(self, mask: int) -> frozenset:
-        return frozenset(m for j, m in enumerate(self.attributes) if mask >> j & 1)
+        return _names(self.attributes, mask)
 
     def _objs(self, mask: int) -> frozenset:
-        return frozenset(g for i, g in enumerate(self.objects) if mask >> i & 1)
-
-    @property
-    def _full_amask(self) -> int:
-        return (1 << len(self.attributes)) - 1
-
-    @property
-    def _full_omask(self) -> int:
-        return (1 << len(self.objects)) - 1
+        return _names(self.objects, mask)
 
     def row(self, g: str) -> frozenset:
         return self._attrs(self._rows[self._oidx[g]])
@@ -118,37 +107,33 @@ class FormalContext:
 
     def derive_objects(self, objs: Iterable[str]) -> frozenset:
         """Attributes shared by every object of the set; all of M for the empty set."""
-        mask = self._full_amask
-        for g in objs:
-            try:
-                mask &= self._rows[self._oidx[g]]
-            except KeyError:
-                raise ValueError(f"unknown object name: {g!r}") from None
-        return self._attrs(mask)
+        return self._attrs(self._intent_omask(self._omask(objs)))
 
     def derive_attributes(self, attrs: Iterable[str]) -> frozenset:
         """Objects possessing every attribute of the set; all of G for the empty set."""
-        mask = self._full_omask
-        for m in attrs:
-            try:
-                mask &= self._cols[self._aidx[m]]
-            except KeyError:
-                raise ValueError(f"unknown attribute name: {m!r}") from None
-        return self._objs(mask)
+        return self._objs(self._extent_amask(self._amask(attrs)))
 
     def _extent_amask(self, bmask: int) -> int:
-        ext = 0
-        for i, r in enumerate(self._rows):
-            if r & bmask == bmask:
-                ext |= 1 << i
+        ext = (1 << len(self._rows)) - 1
+        cols = self._cols
+        while bmask:
+            low = bmask & -bmask
+            ext &= cols[low.bit_length() - 1]
+            bmask ^= low
         return ext
 
-    def _close_amask(self, bmask: int) -> int:
-        intent = self._full_amask
-        for i, r in enumerate(self._rows):
-            if r & bmask == bmask:
-                intent &= r
+    def _intent_omask(self, omask: int) -> int:
+        intent = (1 << len(self._cols)) - 1
+        rows = self._rows
+        while omask:
+            low = omask & -omask
+            intent &= rows[low.bit_length() - 1]
+            omask ^= low
         return intent
+
+    def _close_amask(self, bmask: int) -> int:
+        """B'': the extent by ANDing columns, then the rows of the extent."""
+        return self._intent_omask(self._extent_amask(bmask))
 
     def close_attributes(self, attrs: Iterable[str]) -> frozenset:
         """The closure B'' of an attribute set."""
@@ -163,35 +148,7 @@ class FormalContext:
     def intent_masks(self) -> list:
         """All closed attribute masks, in lectic order."""
         check_guard(len(self.attributes), CONCEPTS_GUARD, "concept enumeration")
-        if len(self.attributes) <= _POWERSET_LIMIT:
-            closed = {self._close_amask(s) for s in range(1 << len(self.attributes))}
-            return sorted(closed, key=self._lectic_key)
-        return list(self._next_closure_masks())
-
-    def _lectic_key(self, mask: int) -> tuple:
-        """Lectic order: of two sets, the one holding the first attribute
-        where they differ comes later (the order NextClosure yields)."""
-        n = len(self.attributes)
-        return tuple(mask >> j & 1 for j in range(n))
-
-    def _next_closure_masks(self):
-        n = len(self.attributes)
-        full = self._full_amask
-        a = self._close_amask(0)
-        yield a
-        while a != full:
-            nxt = None
-            for i in range(n - 1, -1, -1):
-                bit = 1 << i
-                if a & bit:
-                    a &= ~bit
-                else:
-                    b = self._close_amask(a | bit)
-                    if not (b & ~a) & (bit - 1):
-                        nxt = b
-                        break
-            a = nxt
-            yield a
+        return list(closed_masks(len(self.attributes), self._close_amask))
 
     def intents(self) -> list:
         return [self._attrs(m) for m in self.intent_masks()]
@@ -217,6 +174,37 @@ class FormalContext:
 
     def __repr__(self):
         return f"FormalContext({len(self.objects)}x{len(self.attributes)})"
+
+
+def _names(universe: tuple, mask: int) -> frozenset:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(universe[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
+def closed_masks(n: int, close, prune=None):
+    """Close-by-One: every set closed under `close` over n attributes, once,
+    in lectic order (of two sets, the one holding the first attribute where
+    they differ comes later).  A set b reached at attribute y has children
+    close(b | 1<<j) for j >= y not in b, kept when they add nothing below j;
+    they are pushed in ascending j, so the pre-order is lectic.  A set for
+    which prune(b) holds is yielded but not expanded."""
+    stack = [(close(0), 0)]
+    while stack:
+        b, y = stack.pop()
+        yield b
+        if prune is not None and prune(b):
+            continue
+        for j in range(y, n):
+            bit = 1 << j
+            if b & bit:
+                continue
+            c = close(b | bit)
+            if not (c & ~b) & (bit - 1):
+                stack.append((c, j + 1))
 
 
 def contranominal_scale(n: int) -> FormalContext:
@@ -249,44 +237,21 @@ def reduce_context(ctx: FormalContext) -> FormalContext:
     Removal can expose new reducibles, so objects and attributes are
     re-scanned until neither side changes.
     """
-    objects = list(ctx.objects)
-    attributes = list(ctx.attributes)
-    rows = {g: set(ctx.row(g)) for g in objects}
-    while True:
+    objs = list(range(len(ctx.objects)))
+    atts = list(range(len(ctx.attributes)))
+    changed = True
+    while changed:
         changed = False
-        while True:
-            vecs = [_mask_of(rows[g], attributes) for g in objects]
-            i = _reducible_index(vecs, (1 << len(attributes)) - 1)
-            if i is None:
-                break
-            del rows[objects[i]]
-            del objects[i]
-            changed = True
-        while True:
-            cols = [
-                sum(1 << i for i, g in enumerate(objects) if m in rows[g])
-                for m in attributes
-            ]
-            j = _reducible_index(cols, (1 << len(objects)) - 1)
-            if j is None:
-                break
-            gone = attributes[j]
-            del attributes[j]
-            for g in objects:
-                rows[g].discard(gone)
-            changed = True
-        if not changed:
-            break
-    return FormalContext.from_intents(objects, attributes, [rows[g] for g in objects])
-
-
-def _mask_of(names, universe) -> int:
-    idx = {m: j for j, m in enumerate(universe)}
-    mask = 0
-    for m in names:
-        if m in idx:
-            mask |= 1 << idx[m]
-    return mask
+        for keep, other, vectors in ((objs, atts, ctx._rows), (atts, objs, ctx._cols)):
+            full = sum(1 << k for k in other)
+            while (i := _reducible_index([vectors[k] & full for k in keep], full)) is not None:
+                del keep[i]
+                changed = True
+    return FormalContext(
+        [ctx.objects[i] for i in objs],
+        [ctx.attributes[j] for j in atts],
+        [[ctx._rows[i] >> j & 1 for j in atts] for i in objs],
+    )
 
 
 # -- Burmeister .cxt format ------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .context import FormalContext
+from .context import FormalContext, closed_masks
 from .poset import minimal_members
 
 
@@ -34,8 +34,9 @@ class TrainingContext:
         return TrainingContext(self.negative, self.positive)
 
 
-def _negative_cover_count(t: TrainingContext, h: frozenset) -> int:
-    return sum(1 for g in t.negative.objects if h <= t.negative.row(g))
+def _negative_cover_count(t: TrainingContext, h: int) -> int:
+    """Negative object intents containing the attribute mask h."""
+    return sum(1 for r in t.negative._rows if r & h == h)
 
 
 def is_hypothesis(t: TrainingContext, h: Iterable[str], k: int = 0) -> bool:
@@ -43,8 +44,8 @@ def is_hypothesis(t: TrainingContext, h: Iterable[str], k: int = 0) -> bool:
     object intents."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    h = frozenset(h)
-    if not t.positive.is_closed(h):
+    h = t.positive._amask(h)
+    if t.positive._close_amask(h) != h:
         return False
     return _negative_cover_count(t, h) <= k
 
@@ -58,7 +59,8 @@ def enumerate_hypotheses(t: TrainingContext, k: int = 0) -> list:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return [h for h in t.positive.intents() if _negative_cover_count(t, h) <= k]
+    pos = t.positive
+    return [pos._attrs(h) for h in pos.intent_masks() if _negative_cover_count(t, h) <= k]
 
 
 def minimal_hypotheses(t: TrainingContext, k: int = 0, method: str = "oracle") -> list:
@@ -82,88 +84,77 @@ def minimal_hypotheses(t: TrainingContext, k: int = 0, method: str = "oracle") -
     raise ValueError(f"unknown method: {method!r}")
 
 
-def _genuine_minimal(t: TrainingContext) -> list:
-    """Subset-minimal hypotheses without the {M} convention (may be empty)."""
-    return minimal_members(enumerate_hypotheses(t, 0))
+def _minimal_masks(t: TrainingContext, k: int):
+    """Subset-minimal k-weak hypotheses as masks, in lectic order, without
+    the {M} convention.
+
+    Close-by-One over the positive intents, pruned below every hypothesis:
+    the closed sets on the way to a minimal hypothesis are closed proper
+    subsets of it, so none is a hypothesis and none is pruned.  Lectic
+    order extends inclusion, so a pruned hit is minimal exactly when no
+    earlier minimal hit lies below it.
+    """
+
+    def hit(b):
+        return _negative_cover_count(t, b) <= k
+
+    kept = []
+    for b in closed_masks(len(t.attributes), t.positive._close_amask, hit):
+        if hit(b) and not any(h & b == h for h in kept):
+            kept.append(b)
+            yield b
+
+
+def _first_new(t: TrainingContext, known) -> int | None:
+    """The lectically first minimal hypothesis (as a mask) outside `known`,
+    or None.  Raises ValueError unless every member of `known` is a minimal
+    hypothesis; the search stops once all of them are seen and a new one
+    is found."""
+    known = [frozenset(h) for h in known]
+    aidx = t.positive._aidx
+    masks = [sum(1 << aidx[m] for m in h) if h <= aidx.keys() else None for h in known]
+    pending = set(masks)  # an unknown name (None) is never seen: the search runs to the end
+    seen, new = set(), None
+    for b in _minimal_masks(t, 0):
+        seen.add(b)
+        pending.discard(b)
+        if new is None and b not in masks:
+            new = b
+        if new is not None and not pending:
+            return new
+    if not seen:
+        # the {M} convention: with no hypothesis at all, M is the minimal one
+        full = (1 << len(t.attributes)) - 1
+        seen.add(full)
+        new = None if full in masks else full
+    for h, b in zip(known, masks):
+        if b not in seen:
+            raise ValueError(f"{sorted(h)} is not a minimal hypothesis")
+    return new
 
 
 def decide_amh(t: TrainingContext, known: Iterable[frozenset]) -> bool:
     """Is there a minimal hypothesis outside the given set?
 
-    Backed by exhaustive closed-set search (the problem is NP-complete in
+    Backed by a pruned closed-set search (the problem is NP-complete in
     general); every member of `known` must itself be a minimal hypothesis.
     The {M} convention applies: a context with no hypotheses has minimal
     set {M}.
     """
-    known = [frozenset(h) for h in known]
-    complete = set(minimal_hypotheses(t, 0, method="oracle"))
-    for h in known:
-        if h not in complete:
-            raise ValueError(f"{sorted(h)} is not a minimal hypothesis")
-    return bool(complete - set(known))
-
-
-def _project(t: TrainingContext, gplus: frozenset) -> TrainingContext:
-    """The training context restricted to intents under one positive object.
-
-    Object intents are deduplicated: the projected object sets are defined
-    as sets of intents.
-    """
-    attrs = [m for m in t.attributes if m in gplus]
-    pos_intents = []
-    for h in t.positive.objects:
-        it = gplus & t.positive.row(h)
-        if it not in pos_intents:
-            pos_intents.append(it)
-    neg_intents = []
-    for h in t.negative.objects:
-        it = gplus & t.negative.row(h)
-        if it not in neg_intents:
-            neg_intents.append(it)
-    pos = FormalContext.from_intents(
-        [f"p{i}" for i in range(len(pos_intents))], attrs, pos_intents
-    )
-    neg = FormalContext.from_intents(
-        [f"n{i}" for i in range(len(neg_intents))], attrs, neg_intents
-    )
-    return TrainingContext(pos, neg)
-
-
-def _find_genuine(t: TrainingContext, known: list) -> frozenset:
-    """Recursive search for a genuine additional minimal hypothesis.
-
-    Projections equal to M are skipped: any additional minimal hypothesis
-    other than M is closed with a nonempty extent, hence lies inside some
-    non-full object intent, and recursing on a full row would reproduce
-    the same instance.  If no projection admits one, the sought hypothesis
-    is M itself.
-    """
-    full = frozenset(t.attributes)
-    for g in t.positive.objects:
-        gplus = t.positive.row(g)
-        if gplus == full:
-            continue
-        sub = _project(t, gplus)
-        sub_known = [h for h in known if h <= gplus]
-        if set(_genuine_minimal(sub)) - set(sub_known):
-            return _find_genuine(sub, sub_known)
-    return full
+    return _first_new(t, known) is not None
 
 
 def find_new_min_h(t: TrainingContext, known: Iterable[frozenset]) -> frozenset:
-    """Return a minimal hypothesis outside `known`.
+    """Return a minimal hypothesis outside `known`: the lectically first.
 
-    Recurses over positive objects, projecting the training context onto
-    each object intent and keeping only the known hypotheses that fit
-    inside it; when no projection admits an additional hypothesis the
-    answer is the full attribute set M.  The recursion works with genuine
-    hypotheses only: the {M} convention must not leak into projected
-    subcontexts, where a conventional answer would not lift back.
+    Every member of `known` must be a minimal hypothesis.  When no genuine
+    hypothesis exists the answer is the full attribute set M, by the {M}
+    convention.
     """
-    known = [frozenset(h) for h in known]
-    if not decide_amh(t, known):
+    new = _first_new(t, known)
+    if new is None:
         raise ValueError("precondition violated: no additional minimal hypothesis")
-    return _find_genuine(t, known)
+    return t.positive._attrs(new)
 
 
 def classify(intent: Iterable[str], pos: Iterable[frozenset], neg: Iterable[frozenset]) -> str:
@@ -186,20 +177,30 @@ def classify(intent: Iterable[str], pos: Iterable[frozenset], neg: Iterable[froz
 def training_from_json(doc: dict) -> TrainingContext:
     """JSON form: {"attributes": [...], "positive": {name: "X.X"}, "negative": {...}}."""
     try:
-        attributes = list(doc["attributes"])
+        attributes = doc["attributes"]
         pos_rows = doc["positive"]
         neg_rows = doc["negative"]
     except (KeyError, TypeError):
         raise ValueError(
             'training JSON must have "attributes", "positive" and "negative"'
         ) from None
+    if not isinstance(attributes, list) or not all(isinstance(m, str) for m in attributes):
+        raise ValueError('training JSON "attributes" must be a list of attribute names')
 
-    def build(rows: dict) -> FormalContext:
+    def build(rows) -> FormalContext:
+        if not isinstance(rows, dict):
+            raise ValueError(
+                'training JSON "positive" and "negative" must map object names to rows'
+            )
         objects = list(rows)
         matrix = []
         for g in objects:
             row = rows[g]
-            if len(row) != len(attributes) or any(ch not in "X." for ch in row):
+            if (
+                not isinstance(row, str)
+                or len(row) != len(attributes)
+                or any(ch not in "X." for ch in row)
+            ):
                 raise ValueError(f"malformed incidence row for {g!r}: {row!r}")
             matrix.append([ch == "X" for ch in row])
         return FormalContext(objects, attributes, matrix)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .context import FormalContext
+from .context import FormalContext, closed_masks
 from .poset import Poset, is_antichain
 from .util import check_guard
 
@@ -48,17 +48,34 @@ def is_valid(ctx: FormalContext, imp: Implication) -> bool:
 
 
 def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
-    """Brute-force base recognition: the implicational closure must equal
-    the context closure on every attribute subset (guarded, lectic order
-    with early exit)."""
+    """Base recognition (guarded): the implications' closure system equals
+    the context's.  That holds exactly when every implication holds in the
+    context (so every intent is closed under them) and every set closed
+    under them, enumerated by Close-by-One with early exit, is an intent."""
     check_guard(len(ctx.attributes), IS_BASE_GUARD, "implication base recognition")
-    imps = list(imps)
-    attrs = ctx.attributes
-    for mask in range(1 << len(attrs)):
-        xs = frozenset(m for j, m in enumerate(attrs) if mask >> j & 1)
-        if imp_closure(imps, xs) != ctx.close_attributes(xs):
-            return False
-    return True
+    known = ctx._aidx.keys()
+    rules = []
+    for imp in imps:
+        if imp.premise <= known:  # else it fires only once an unknown name is derived
+            if not imp.conclusion <= known:
+                return False  # it fires on its own premise and leaves M
+            rules.append((ctx._amask(imp.premise), ctx._amask(imp.conclusion)))
+    if any(ctx._close_amask(p) & c != c for p, c in rules):
+        return False
+
+    def chain(x: int) -> int:
+        grown = True
+        while grown:
+            grown = False
+            for p, c in rules:
+                if p & x == p and c & ~x:
+                    x |= c
+                    grown = True
+        return x
+
+    return all(
+        ctx._close_amask(x) == x for x in closed_masks(len(ctx.attributes), chain)
+    )
 
 
 def contraordinal_context(poset: Poset) -> FormalContext:

@@ -125,6 +125,36 @@ def test_hypo_amh_strict_exit(capsys, worked_files, tmp_path):
     assert json.loads(out) == {"additional": False}
 
 
+@pytest.mark.parametrize("hyps", [[5], {"m1": 1}, [["m1", 2]]])
+def test_hypo_amh_malformed_hyps_exit_2(capsys, worked_files, tmp_path, hyps):
+    pos, neg = worked_files
+    path = tmp_path / "hyps.json"
+    path.write_text(json.dumps(hyps))
+    code, out, err = run_cli(
+        capsys, "--strict-exit", "hypo", "amh", "--pos", pos, "--neg", neg, "--hyps", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "family" in err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"attributes": ["m1"], "positive": ["X"], "negative": {}}, "positive"),
+        ({"attributes": "m1", "positive": {}, "negative": {}}, "attributes"),
+        ({"attributes": ["m1"], "positive": {"g1": 1}, "negative": {}}, "row"),
+    ],
+)
+def test_hypo_malformed_training_exit_2(capsys, tmp_path, doc, message):
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "hypo", "all", "--train", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error" in err and message in err
+
+
 # -- dual verbs ---------------------------------------------------------------
 
 
@@ -279,6 +309,26 @@ def test_reduce_dci2mibr(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["context_cxt"].startswith("B\n")
     assert {"premise": ["p1", "p2"], "conclusion": ["p1", "p2"]} in doc["implications"]
+
+
+@pytest.mark.parametrize("side", ["--a", "--b"])
+def test_reduce_dci2mibr_malformed_family_exit_2(capsys, tmp_path, side):
+    ctx_path = tmp_path / "ctx.cxt"
+    ctx_path.write_text("B\n\n2\n2\n\np1\np2\np1\np2\n.X\nX.\n")
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps([["p1"]]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([5]))
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps([]))
+    files = {"--a": str(good), "--b": str(good), side: str(bad)}
+    code, out, err = run_cli(
+        capsys, "reduce", "dci2mibr", "--context", str(ctx_path),
+        "--a", files["--a"], "--b", files["--b"], "--base", str(base),
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "family" in err
 
 
 def test_missing_file_exit_2(capsys):

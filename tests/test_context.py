@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_dual import (
     FormalContext,
@@ -14,7 +16,7 @@ from lattice_dual import (
     write_cxt,
 )
 
-from lattice_dual import context as context_module
+from lattice_dual.context import closed_masks
 
 from conftest import random_context
 
@@ -153,20 +155,70 @@ def test_concepts_guard():
         big.concepts()
 
 
-def test_lectic_enumeration_agrees_with_powerset(monkeypatch):
-    # closing every subset and NextClosure yield the same list, in lectic order
+def brute_intents(ctx):
+    """Closures of every attribute subset, in lectic order: of two sets, the
+    one holding the first attribute where they differ comes later."""
+    attrs = ctx.attributes
+    rows = [sum(1 << j for j, m in enumerate(attrs) if m in ctx.row(g)) for g in ctx.objects]
+    full = (1 << len(attrs)) - 1
+    closed = set()
+    for sub in range(1 << len(attrs)):
+        intent = full
+        for r in rows:
+            if r & sub == sub:
+                intent &= r
+        closed.add(intent)
+    return [
+        frozenset(m for j, m in enumerate(attrs) if mask >> j & 1)
+        for mask in sorted(closed, key=lambda mask: [mask >> j & 1 for j in range(len(attrs))])
+    ]
+
+
+def test_lectic_enumeration_agrees_with_powerset():
+    # the same list, in lectic order, as closing every subset, on both
+    # sides of 16 attributes
     rng = random.Random(23)
     contexts = [random_context(rng, 5, 5) for _ in range(5)]
-    by_powerset = [ctx.intents() for ctx in contexts]
-    monkeypatch.setattr(context_module, "_POWERSET_LIMIT", 0)
-    for ctx, expected in zip(contexts, by_powerset):
-        closed = {
-            ctx.close_attributes(sub)
-            for r in range(len(ctx.attributes) + 1)
-            for sub in itertools.combinations(ctx.attributes, r)
-        }
-        assert set(expected) == closed
-        assert ctx.intents() == expected
+    for n_att in (15, 16, 17):
+        attrs = [f"m{j}" for j in range(n_att)]
+        intents = [{m for m in attrs if rng.random() < 0.6} for _ in range(6)]
+        contexts.append(
+            FormalContext.from_intents([f"g{i}" for i in range(6)], attrs, intents)
+        )
+    for ctx in contexts:
+        assert ctx.intents() == brute_intents(ctx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+))
+def test_closed_masks_is_every_closure_in_lectic_order(shape):
+    n, rows = shape
+    ctx = FormalContext([f"g{i}" for i in range(len(rows))], [f"m{j}" for j in range(n)],
+                        [[r >> j & 1 for j in range(n)] for r in rows])
+    got = [ctx._attrs(b) for b in closed_masks(n, ctx._close_amask)]
+    assert got == brute_intents(ctx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+), st.integers(0, 2**7 - 1))
+def test_closed_masks_prune_cuts_only_below(shape, cut):
+    # pruning keeps lectic order and still reaches every closed set that has
+    # no pruned closed proper subset
+    n, rows = shape
+    ctx = FormalContext([f"g{i}" for i in range(len(rows))], [f"m{j}" for j in range(n)],
+                        [[r >> j & 1 for j in range(n)] for r in rows])
+    cut &= (1 << n) - 1
+    everything = list(closed_masks(n, ctx._close_amask))
+    pruned = list(closed_masks(n, ctx._close_amask, lambda b: b & cut == cut))
+    assert set(pruned) <= set(everything)
+    assert pruned == [b for b in everything if b in set(pruned)]
+    for b in everything:
+        if not any(a & cut == cut and a & b == a and a != b for a in everything):
+            assert b in pruned
 
 
 def test_contranominal_all_subsets_closed_exhaustive():

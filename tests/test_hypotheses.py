@@ -1,11 +1,13 @@
 """JSM hypotheses: enumeration, minimal sets, the additional-hypothesis
-decision, the projection-based search, and example classification."""
+decision, the pruned minimal-hypothesis search, and example classification."""
 
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_dual import (
     FormalContext,
@@ -20,6 +22,8 @@ from lattice_dual import (
     training_from_json,
     training_to_json,
 )
+
+from lattice_dual.hypotheses import _minimal_masks
 
 from conftest import ATTRS6, EIGHT_MINIMAL, genuine_minimal_hypotheses, random_training
 
@@ -175,6 +179,13 @@ def test_decide_amh_rejects_non_minimal_member(worked_training):
         decide_amh(worked_training, [frozenset({"m3"})])
 
 
+def test_decide_amh_rejects_unknown_names_after_a_new_one(worked_training):
+    # the search may not stop at the first new hypothesis while a known
+    # member is still unaccounted for
+    with pytest.raises(ValueError, match="not a minimal hypothesis"):
+        decide_amh(worked_training, EIGHT_MINIMAL[1:] + [frozenset({"zz"})])
+
+
 # -- find_new_min_h -----------------------------------------------------------------
 
 
@@ -209,6 +220,49 @@ def test_iteration_enumerates_each_exactly_once():
             assert h not in known
             known.append(h)
         assert set(known) == set(minimal_hypotheses(t))
+
+
+# -- pruned search against the enumeration oracle -----------------------------------
+
+
+@st.composite
+def trainings(draw):
+    n = draw(st.integers(0, 6))
+    row = st.integers(0, (1 << n) - 1)
+    attrs = [f"m{j}" for j in range(n)]
+    pos, neg = draw(st.lists(row, max_size=6)), draw(st.lists(row, max_size=6))
+    return small_training(
+        [{m for j, m in enumerate(attrs) if r >> j & 1} for r in pos],
+        [{m for j, m in enumerate(attrs) if r >> j & 1} for r in neg],
+        attrs,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(trainings())
+def test_iterate_agrees_with_oracle(t):
+    assert minimal_hypotheses(t, method="iterate") == minimal_hypotheses(t, method="oracle")
+
+
+@settings(max_examples=150, deadline=None)
+@given(trainings(), st.integers(0, 2))
+def test_pruned_search_agrees_with_oracle(t, k):
+    # lectic order, no repeats, and the genuine minimal k-weak hypotheses
+    found = [t.positive._attrs(b) for b in _minimal_masks(t, k)]
+    assert found == [h for h in t.positive.intents() if h in set(found)]
+    assert len(found) == len(set(found))
+    assert set(found) == set(genuine_minimal_hypotheses(t, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trainings(), st.integers(0, 2**16 - 1))
+def test_find_new_is_a_missing_minimal_hypothesis(t, pick):
+    complete = minimal_hypotheses(t)
+    known = [h for i, h in enumerate(complete) if pick >> i & 1]
+    if len(known) == len(complete):
+        known.pop()
+    h = find_new_min_h(t, known)
+    assert h in complete and h not in known
 
 
 # -- classification -----------------------------------------------------------------

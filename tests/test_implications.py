@@ -7,6 +7,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_dual import (
     FormalContext,
@@ -149,6 +151,48 @@ def test_complete_implication_set_is_base():
     for _ in range(10):
         ctx = random_context(rng, 4, 4)
         assert is_base(ctx, all_valid_implications(ctx))
+
+
+def is_base_by_sweep(ctx, imps):
+    attrs = ctx.attributes
+    return all(
+        imp_closure(imps, sub) == ctx.close_attributes(sub)
+        for r in range(len(attrs) + 1)
+        for sub in itertools.combinations(attrs, r)
+    )
+
+
+@st.composite
+def contexts_with_implications(draw):
+    # attribute "zz" is not in the context; "valid" implications conclude
+    # the context closure of their premise
+    n = draw(st.integers(0, 6))
+    attrs = [f"m{j}" for j in range(n)]
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    ctx = FormalContext([f"g{i}" for i in range(len(rows))], attrs,
+                        [[r >> j & 1 for j in range(n)] for r in rows])
+    names = attrs + ["zz"]
+
+    def subset(mask):
+        return {m for j, m in enumerate(names) if mask >> j & 1}
+
+    imps = []
+    if draw(st.booleans()):
+        imps = [imp(b, b) for b in ctx.intents()] + all_valid_implications(ctx)
+    for _ in range(draw(st.integers(0, 5))):
+        premise = subset(draw(st.integers(0, (1 << (n + 1)) - 1)))
+        conclusion = subset(draw(st.integers(0, (1 << (n + 1)) - 1)))
+        if draw(st.booleans()) and "zz" not in premise:
+            conclusion = ctx.close_attributes(premise) - {m for m in conclusion if m != "zz"}
+        imps.append(imp(premise, conclusion))
+    return ctx, draw(st.permutations(imps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(contexts_with_implications())
+def test_is_base_agrees_with_sweep(case):
+    ctx, imps = case
+    assert is_base(ctx, imps) == is_base_by_sweep(ctx, imps)
 
 
 def test_is_base_guard():
