@@ -19,7 +19,7 @@ from . import hypotheses as hypo_mod
 from . import implications as imp_mod
 from . import poset as poset_mod
 from . import reductions as red_mod
-from .util import GuardExceeded, canon
+from .util import GuardExceeded, family_key
 
 
 def _read(path: str) -> str:
@@ -63,11 +63,14 @@ def _load_training(args) -> hypo_mod.TrainingContext:
     return hypo_mod.TrainingContext(_load_context(args.pos), _load_context(args.neg))
 
 
-def _sorted_family(family, universe) -> list:
-    index = {name: i for i, name in enumerate(universe)}
-    members = [canon(universe, s) for s in family]
-    members.sort(key=lambda xs: (len(xs), [index[x] for x in xs]))
-    return members
+def _as_list(codec, names) -> list:
+    """A set of names as a JSON list, in universe order."""
+    return codec.decode(codec.encode(names))
+
+
+def _family(codec, family) -> list:
+    """Sets of names as JSON lists, in the family order."""
+    return [codec.decode(m) for m in sorted(map(codec.encode, family), key=family_key)]
 
 
 # -- verb handlers -----------------------------------------------------
@@ -78,7 +81,10 @@ def _run_ctx(args) -> int:
     if args.subverb == "concepts":
         _emit(
             [
-                {"extent": canon(ctx.objects, c.extent), "intent": canon(ctx.attributes, c.intent)}
+                {
+                    "extent": _as_list(ctx._ocodec, c.extent),
+                    "intent": _as_list(ctx._acodec, c.intent),
+                }
                 for c in ctx.concepts()
             ]
         )
@@ -86,17 +92,17 @@ def _run_ctx(args) -> int:
         _emit({"cxt": ctx_mod.write_cxt(ctx_mod.reduce_context(ctx))})
     elif args.subverb == "close":
         closed = ctx.close_attributes(_parse_set(args.set))
-        _emit(canon(ctx.attributes, closed))
+        _emit(_as_list(ctx._acodec, closed))
     return 0
 
 
 def _run_hypo(args) -> int:
     training = _load_training(args)
-    universe = training.attributes
+    codec = training.positive._acodec
     if args.subverb == "minimal":
-        _emit(_sorted_family(hypo_mod.minimal_hypotheses(training, args.k), universe))
+        _emit(_family(codec, hypo_mod.minimal_hypotheses(training, args.k)))
     elif args.subverb == "all":
-        _emit(_sorted_family(hypo_mod.enumerate_hypotheses(training, args.k), universe))
+        _emit(_family(codec, hypo_mod.enumerate_hypotheses(training, args.k)))
     elif args.subverb == "classify":
         if args.intent is None:
             raise ValueError("classify needs --intent")
@@ -118,8 +124,7 @@ def _run_dual(args) -> int:
     poset = poset_mod.poset_from_json(_read_json(args.poset))
     fam_a = poset_mod.family_from_json(_read_json(args.a), poset)
     if args.subverb == "dualize":
-        dual = dual_mod.dualize_brute(fam_a, poset)
-        _emit(_sorted_family(dual, poset.elements))
+        _emit(_family(poset._codec, dual_mod.dualize_brute(fam_a, poset)))
         return 0
     if not args.b:
         raise ValueError(f"{args.subverb} needs --b")
@@ -129,7 +134,7 @@ def _run_dual(args) -> int:
         raise ValueError("property (*) violated")
     if args.subverb == "brute" or args.oracle:
         verdict = dual_mod.brute_force_dual(inst)
-        witness = None if verdict.witness is None else canon(poset.elements, verdict.witness)
+        witness = None if verdict.witness is None else _as_list(poset._codec, verdict.witness)
         _emit({"dual": verdict.dual, "witness": witness, "recursive_calls": 0})
         answer = verdict.dual
     else:
@@ -148,7 +153,7 @@ def _run_reduce(args) -> int:
         training, known = red_mod.sat_to_amh(cnf)
         doc = {
             "training": hypo_mod.training_to_json(training),
-            "minimal_hypotheses": _sorted_family(known, training.attributes),
+            "minimal_hypotheses": _family(training.positive._acodec, known),
         }
         _emit(doc)
     elif args.subverb == "dci2mibr":

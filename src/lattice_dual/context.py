@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .util import check_guard
+from .util import Codec, check_guard, transpose
 
 CONCEPTS_GUARD = 25
 
@@ -17,22 +17,17 @@ class Concept(NamedTuple):
 class FormalContext:
     """Immutable objects x attributes incidence table.
 
-    Incidence is kept both as per-object attribute bitmasks and
-    per-attribute object bitmasks, so both derivation directions are
-    plain intersection loops.
+    Objects and attributes each have a codec.  Incidence is kept both as
+    per-object attribute bitmasks and per-attribute object bitmasks, so
+    both derivation directions are one intersection loop.
     """
 
-    __slots__ = ("objects", "attributes", "_rows", "_cols", "_oidx", "_aidx")
+    __slots__ = ("objects", "attributes", "_rows", "_cols", "_ocodec", "_acodec")
 
     def __init__(self, objects, attributes, incidence):
-        objects = tuple(objects)
-        attributes = tuple(attributes)
-        if len(set(objects)) != len(objects):
-            raise ValueError("object names must be pairwise distinct")
-        if len(set(attributes)) != len(attributes):
-            raise ValueError("attribute names must be pairwise distinct")
+        ocodec, acodec = Codec(objects, "object"), Codec(attributes, "attribute")
         matrix = [list(row) for row in incidence]
-        if len(matrix) != len(objects) or any(len(r) != len(attributes) for r in matrix):
+        if len(matrix) != len(ocodec.names) or any(len(r) != len(acodec.names) for r in matrix):
             raise ValueError("incidence dimensions do not match object/attribute counts")
         rows = []
         for r in matrix:
@@ -41,19 +36,20 @@ class FormalContext:
                 if v:
                     mask |= 1 << j
             rows.append(mask)
-        cols = []
-        for j in range(len(attributes)):
-            c = 0
-            for i, r in enumerate(rows):
-                if r >> j & 1:
-                    c |= 1 << i
-            cols.append(c)
-        self.objects = objects
-        self.attributes = attributes
+        self._store(ocodec, acodec, rows)
+
+    def _store(self, ocodec, acodec, rows) -> None:
+        self.objects, self.attributes = ocodec.names, acodec.names
+        self._ocodec, self._acodec = ocodec, acodec
         self._rows = tuple(rows)
-        self._cols = tuple(cols)
-        self._oidx = {g: i for i, g in enumerate(objects)}
-        self._aidx = {m: j for j, m in enumerate(attributes)}
+        self._cols = tuple(transpose(rows, len(acodec.names)))
+
+    @classmethod
+    def _from_rows(cls, objects, attributes, rows) -> "FormalContext":
+        """Build from one attribute mask per object (in `objects` order)."""
+        ctx = cls.__new__(cls)
+        ctx._store(Codec(objects, "object"), Codec(attributes, "attribute"), rows)
+        return ctx
 
     @classmethod
     def from_intents(cls, objects, attributes, intents) -> "FormalContext":
@@ -68,79 +64,42 @@ class FormalContext:
             matrix.append([m in it for m in attributes])
         return cls(objects, attributes, matrix)
 
-    # -- mask helpers ------------------------------------------------
-
-    def _amask(self, names: Iterable[str]) -> int:
-        mask = 0
-        for m in names:
-            try:
-                mask |= 1 << self._aidx[m]
-            except KeyError:
-                raise ValueError(f"unknown attribute name: {m!r}") from None
-        return mask
-
-    def _omask(self, names: Iterable[str]) -> int:
-        mask = 0
-        for g in names:
-            try:
-                mask |= 1 << self._oidx[g]
-            except KeyError:
-                raise ValueError(f"unknown object name: {g!r}") from None
-        return mask
-
-    def _attrs(self, mask: int) -> frozenset:
-        return _names(self.attributes, mask)
-
-    def _objs(self, mask: int) -> frozenset:
-        return _names(self.objects, mask)
-
     def row(self, g: str) -> frozenset:
-        return self._attrs(self._rows[self._oidx[g]])
+        return self._acodec.members(self._rows[self._ocodec.index[g]])
 
     def column(self, m: str) -> frozenset:
-        return self._objs(self._cols[self._aidx[m]])
+        return self._ocodec.members(self._cols[self._acodec.index[m]])
 
     def incident(self, g: str, m: str) -> bool:
-        return bool(self._rows[self._oidx[g]] >> self._aidx[m] & 1)
+        return bool(self._rows[self._ocodec.index[g]] >> self._acodec.index[m] & 1)
 
     # -- derivation --------------------------------------------------
 
     def derive_objects(self, objs: Iterable[str]) -> frozenset:
         """Attributes shared by every object of the set; all of M for the empty set."""
-        return self._attrs(self._intent_omask(self._omask(objs)))
+        return self._acodec.members(self._intent_omask(self._ocodec.encode(objs)))
 
     def derive_attributes(self, attrs: Iterable[str]) -> frozenset:
         """Objects possessing every attribute of the set; all of G for the empty set."""
-        return self._objs(self._extent_amask(self._amask(attrs)))
+        return self._ocodec.members(self._extent_amask(self._acodec.encode(attrs)))
 
     def _extent_amask(self, bmask: int) -> int:
-        ext = (1 << len(self._rows)) - 1
-        cols = self._cols
-        while bmask:
-            low = bmask & -bmask
-            ext &= cols[low.bit_length() - 1]
-            bmask ^= low
-        return ext
+        return _meet(self._cols, len(self._rows), bmask)
 
     def _intent_omask(self, omask: int) -> int:
-        intent = (1 << len(self._cols)) - 1
-        rows = self._rows
-        while omask:
-            low = omask & -omask
-            intent &= rows[low.bit_length() - 1]
-            omask ^= low
-        return intent
+        return _meet(self._rows, len(self._cols), omask)
 
     def _close_amask(self, bmask: int) -> int:
         """B'': the extent by ANDing columns, then the rows of the extent."""
-        return self._intent_omask(self._extent_amask(bmask))
+        rows, cols = self._rows, self._cols
+        return _meet(rows, len(cols), _meet(cols, len(rows), bmask))
 
     def close_attributes(self, attrs: Iterable[str]) -> frozenset:
         """The closure B'' of an attribute set."""
-        return self._attrs(self._close_amask(self._amask(attrs)))
+        return self._acodec.members(self._close_amask(self._acodec.encode(attrs)))
 
     def is_closed(self, attrs: Iterable[str]) -> bool:
-        mask = self._amask(attrs)
+        mask = self._acodec.encode(attrs)
         return self._close_amask(mask) == mask
 
     # -- concept enumeration ------------------------------------------
@@ -151,15 +110,15 @@ class FormalContext:
         return list(closed_masks(len(self.attributes), self._close_amask))
 
     def intents(self) -> list:
-        return [self._attrs(m) for m in self.intent_masks()]
+        return [self._acodec.members(m) for m in self.intent_masks()]
 
     def concepts(self) -> list:
         """All formal concepts (guarded enumeration oracle)."""
-        out = []
-        for bmask in self.intent_masks():
-            ext = self._extent_amask(bmask)
-            out.append(Concept(self._objs(ext), self._attrs(bmask)))
-        return out
+        members = self._ocodec.members
+        return [
+            Concept(members(self._extent_amask(b)), self._acodec.members(b))
+            for b in self.intent_masks()
+        ]
 
     def __eq__(self, other):
         return (
@@ -176,13 +135,19 @@ class FormalContext:
         return f"FormalContext({len(self.objects)}x{len(self.attributes)})"
 
 
-def _names(universe: tuple, mask: int) -> frozenset:
-    out = []
+def _meet(vectors, n: int, mask: int) -> int:
+    """The AND of vectors[i] over the set bits i of mask; all n bits for 0.
+
+    The one intersection loop of both derivations.  It walks the set bits
+    itself: going through util.bits, which builds a list of indices, made
+    Close-by-One on 40 x 11 contexts about 40% slower (Python 3.11).
+    """
+    out = (1 << n) - 1
     while mask:
         low = mask & -mask
-        out.append(universe[low.bit_length() - 1])
+        out &= vectors[low.bit_length() - 1]
         mask ^= low
-    return frozenset(out)
+    return out
 
 
 def closed_masks(n: int, close, prune=None):
@@ -247,10 +212,10 @@ def reduce_context(ctx: FormalContext) -> FormalContext:
             while (i := _reducible_index([vectors[k] & full for k in keep], full)) is not None:
                 del keep[i]
                 changed = True
-    return FormalContext(
+    return FormalContext._from_rows(
         [ctx.objects[i] for i in objs],
         [ctx.attributes[j] for j in atts],
-        [[ctx._rows[i] >> j & 1 for j in atts] for i in objs],
+        [sum((ctx._rows[i] >> j & 1) << k for k, j in enumerate(atts)) for i in objs],
     )
 
 
@@ -297,11 +262,14 @@ def parse_cxt(text: str) -> FormalContext:
     return FormalContext(objects, attributes, matrix)
 
 
+def _row_text(row: int, n: int) -> str:
+    """An attribute mask over n attributes as an X/. incidence row."""
+    return "".join("X" if row >> j & 1 else "." for j in range(n))
+
+
 def write_cxt(ctx: FormalContext) -> str:
     out = ["B", "", str(len(ctx.objects)), str(len(ctx.attributes)), ""]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)
-    for g in ctx.objects:
-        row = ctx.row(g)
-        out.append("".join("X" if m in row else "." for m in ctx.attributes))
+    out.extend(_row_text(row, len(ctx.attributes)) for row in ctx._rows)
     return "\n".join(out) + "\n"

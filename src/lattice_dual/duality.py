@@ -13,11 +13,11 @@ of the full recursion tree, repeated subproblems included.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .poset import Poset, _bits, maximal_members
+from .poset import Poset
+from .util import bits, family_key, is_mask_antichain, maximal_masks, minimal_masks
 
 # Slack applied only on the early-reject side of the frequency thresholds:
 # borderline values are treated as passing, so a false "not dual" is never
@@ -34,21 +34,17 @@ class DualityInstance:
     b: tuple
 
     def __init__(self, poset: Poset, a, b):
-        index = poset._idx
-        key = lambda s: (len(s), sorted(index[e] for e in s))
-        a = tuple(sorted(map(frozenset, a), key=key))
-        b = tuple(sorted(map(frozenset, b), key=key))
+        codec = poset._codec
         universe = (1 << len(poset)) - 1
-        for fam, label in ((a, "A"), (b, "B")):
-            masks = [poset._mask(member) for member in fam]
-            for member, mask in zip(fam, masks):
-                if not _is_downset(poset, universe, mask):
-                    raise ValueError(f"{label}-member {sorted(member)} is not a downset")
-            if not _is_antichain(masks):
-                raise ValueError(f"family {label} is not an antichain")
         object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        for fam, label in ((a, "A"), (b, "B")):
+            masks = sorted(map(codec.encode, fam), key=family_key)
+            for mask in masks:
+                if not _is_downset(poset, universe, mask):
+                    raise ValueError(f"{label}-member {codec.decode(mask)} is not a downset")
+            if not is_mask_antichain(masks):
+                raise ValueError(f"family {label} is not an antichain")
+            object.__setattr__(self, label.lower(), tuple(map(codec.members, masks)))
 
 
 def _masks(inst: DualityInstance) -> tuple:
@@ -56,8 +52,8 @@ def _masks(inst: DualityInstance) -> tuple:
     poset = inst.poset
     return (
         (1 << len(poset)) - 1,
-        tuple(sorted(map(poset._mask, inst.a))),
-        tuple(sorted(map(poset._mask, inst.b))),
+        tuple(sorted(map(poset._codec.encode, inst.a))),
+        tuple(sorted(map(poset._codec.encode, inst.b))),
     )
 
 
@@ -78,44 +74,9 @@ def _is_downset(poset: Poset, universe: int, mask: int) -> bool:
         return True
     if inner.bit_count() <= outer.bit_count():
         down = poset._down
-        return not any(down[i] & outside for i in _bits(inner))
+        return not any(down[i] & outside for i in bits(inner))
     up = poset._up
-    return not any(up[i] & mask for i in _bits(outer))
-
-
-def _is_antichain(family) -> bool:
-    """No member contains another; a repeated member counts as contained."""
-    if len(family) < 2:
-        return True
-    if len(set(family)) != len(family):
-        return False
-    # Distinct members of equal size are incomparable, so each member is
-    # tested only against strictly larger ones.
-    by_size = sorted(family, key=int.bit_count)
-    sizes = [s.bit_count() for s in by_size]
-    for s, size in zip(by_size, sizes):
-        larger = by_size[bisect_right(sizes, size):]
-        if any(s & ~t == 0 for t in larger):
-            return False
-    return True
-
-
-def _minimal(family) -> tuple:
-    """Subset-minimal masks, deduplicated, as a sorted tuple."""
-    out = []
-    for s in sorted(set(family), key=int.bit_count):
-        if all(t & ~s for t in out):
-            out.append(s)
-    return tuple(sorted(out))
-
-
-def _maximal(family) -> tuple:
-    """Subset-maximal masks, deduplicated, as a sorted tuple."""
-    out = []
-    for s in sorted(set(family), key=int.bit_count, reverse=True):
-        if all(s & ~t for t in out):
-            out.append(s)
-    return tuple(sorted(out))
+    return not any(up[i] & mask for i in bits(outer))
 
 
 @dataclass(frozen=True)
@@ -165,10 +126,11 @@ def brute_force_dual(inst: DualityInstance) -> DualityVerdict:
 
 def dualize_brute(a_family, poset: Poset) -> list:
     """The dual antichain: maximal downsets containing no A-member (guarded)."""
+    codec = poset._codec
     # An A-member naming an element outside the poset lies in no downset.
-    a_masks = [poset._mask(s) for s in map(frozenset, a_family) if s <= poset._idx.keys()]
+    a_masks = [codec.encode(s) for s in map(frozenset, a_family) if s <= codec.index.keys()]
     free = [x for x in poset._downset_masks() if not any(a & ~x == 0 for a in a_masks)]
-    return maximal_members(map(poset._members, _maximal(free)))
+    return codec.family(maximal_masks(free))
 
 
 def _split(poset: Poset, universe: int, a: tuple, b: tuple, p: int) -> tuple:
@@ -183,13 +145,13 @@ def _split(poset: Poset, universe: int, a: tuple, b: tuple, p: int) -> tuple:
     bit = 1 << p
     first = (
         universe & ~below,
-        _minimal([x & ~below for x in a]),
-        _maximal([y & ~below for y in b if y & bit]),
+        minimal_masks([x & ~below for x in a]),
+        maximal_masks([y & ~below for y in b if y & bit]),
     )
     second = (
         universe & ~above,
         tuple(x for x in a if not x & bit),
-        _maximal([y & ~above for y in b]),
+        maximal_masks([y & ~above for y in b]),
     )
     return first, second
 
@@ -201,13 +163,10 @@ def decompose(inst: DualityInstance, p: str):
     (minimal members on the A-side, maximal on the B-side).
     """
     poset = inst.poset
-    halves = _split(poset, *_masks(inst), poset._index(p))
+    members = poset._codec.members
+    halves = _split(poset, *_masks(inst), poset._codec.position(p))
     return tuple(
-        DualityInstance(
-            poset.restrict(poset._members(universe)),
-            map(poset._members, a),
-            map(poset._members, b),
-        )
+        DualityInstance(poset.restrict(members(universe)), map(members, a), map(members, b))
         for universe, a, b in halves
     )
 
@@ -219,7 +178,7 @@ def _check(poset: Poset, universe: int, a: tuple, b: tuple, depth: int) -> None:
     if any(x & ~y == 0 for x in a for y in b):
         raise RuntimeError("subproblem lost property (*) (normalization bug)")
     for fam in (a, b):
-        if not all(_is_downset(poset, universe, m) for m in fam) or not _is_antichain(fam):
+        if not all(_is_downset(poset, universe, m) for m in fam) or not is_mask_antichain(fam):
             raise RuntimeError("subproblem family is not an antichain of downsets (normalization bug)")
 
 
@@ -247,7 +206,7 @@ def _pivot(poset: Poset, universe: int, a: tuple, b: tuple) -> Optional[int]:
     declaration order.
     """
     down, up = poset._down, poset._up
-    elems = _bits(universe)
+    elems = bits(universe)
     scores = [(down[i] & universe).bit_count() + (up[i] & universe).bit_count() for i in elems]
     m = max(scores)
     if m**3 > len(elems):

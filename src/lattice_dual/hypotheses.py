@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .context import FormalContext, closed_masks
-from .poset import minimal_members
+from .context import FormalContext, _row_text, closed_masks
+from .util import minimal_masks
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def is_hypothesis(t: TrainingContext, h: Iterable[str], k: int = 0) -> bool:
     object intents."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    h = t.positive._amask(h)
+    h = t.positive._acodec.encode(h)
     if t.positive._close_amask(h) != h:
         return False
     return _negative_cover_count(t, h) <= k
@@ -60,31 +60,32 @@ def enumerate_hypotheses(t: TrainingContext, k: int = 0) -> list:
     if k < 0:
         raise ValueError("k must be nonnegative")
     pos = t.positive
-    return [pos._attrs(h) for h in pos.intent_masks() if _negative_cover_count(t, h) <= k]
+    return [pos._acodec.members(h) for h in pos.intent_masks() if _negative_cover_count(t, h) <= k]
 
 
 def minimal_hypotheses(t: TrainingContext, k: int = 0, method: str = "oracle") -> list:
-    """Subset-minimal k-weak hypotheses; {M} when no hypothesis exists.
+    """Subset-minimal k-weak hypotheses, in the family order; {M} when no
+    hypothesis exists.
 
     method="oracle" minimizes the full hypothesis enumeration;
-    method="iterate" drives find_new_min_h (k=0 only). Both agree.
+    method="iterate" repeats the search for a new minimal hypothesis
+    (k=0 only). Both agree.
     """
+    codec = t.positive._acodec
     if method == "oracle":
-        hyps = enumerate_hypotheses(t, k)
-        if not hyps:
-            return [frozenset(t.attributes)]
-        return minimal_members(hyps)
+        found = minimal_masks(map(codec.encode, enumerate_hypotheses(t, k)))
+        return codec.family(found) if found else [frozenset(t.attributes)]
     if method == "iterate":
         if k != 0:
             raise ValueError("iterate method supports k=0 only")
-        found: list = []
-        while decide_amh(t, found):
-            found.append(find_new_min_h(t, found))
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
+        found = []
+        while (new := _first_new(t, found)[0]) is not None:
+            found.append(new)
+        return codec.family(found)
     raise ValueError(f"unknown method: {method!r}")
 
 
-def _minimal_masks(t: TrainingContext, k: int):
+def _minimal_hypothesis_masks(t: TrainingContext, k: int):
     """Subset-minimal k-weak hypotheses as masks, in lectic order, without
     the {M} convention.
 
@@ -105,28 +106,38 @@ def _minimal_masks(t: TrainingContext, k: int):
             yield b
 
 
-def _first_new(t: TrainingContext, known) -> int | None:
-    """The lectically first minimal hypothesis (as a mask) outside `known`,
-    or None.  Raises ValueError unless every member of `known` is a minimal
-    hypothesis; the search stops once all of them are seen and a new one
-    is found."""
-    known = [frozenset(h) for h in known]
-    aidx = t.positive._aidx
-    masks = [sum(1 << aidx[m] for m in h) if h <= aidx.keys() else None for h in known]
-    pending = set(masks)  # an unknown name (None) is never seen: the search runs to the end
+def _first_new(t: TrainingContext, masks) -> tuple:
+    """(new, seen): the lectically first minimal hypothesis mask outside
+    `masks` (None if there is none), and the minimal hypotheses the search
+    saw.  The search stops once every member of `masks` is seen and a new
+    one is found; a member that is not a minimal hypothesis (None standing
+    for a set with an unknown name) is never seen, so the search runs to
+    the end and `seen` is complete."""
+    masks = set(masks)
+    pending = set(masks)
     seen, new = set(), None
-    for b in _minimal_masks(t, 0):
+    for b in _minimal_hypothesis_masks(t, 0):
         seen.add(b)
         pending.discard(b)
         if new is None and b not in masks:
             new = b
         if new is not None and not pending:
-            return new
+            return new, seen
     if not seen:
         # the {M} convention: with no hypothesis at all, M is the minimal one
         full = (1 << len(t.attributes)) - 1
         seen.add(full)
         new = None if full in masks else full
+    return new, seen
+
+
+def _first_new_named(t: TrainingContext, known) -> int | None:
+    """_first_new for name sets; raises ValueError unless every member of
+    `known` is a minimal hypothesis."""
+    known = [frozenset(h) for h in known]
+    codec = t.positive._acodec
+    masks = [codec.encode(h) if h <= codec.index.keys() else None for h in known]
+    new, seen = _first_new(t, masks)
     for h, b in zip(known, masks):
         if b not in seen:
             raise ValueError(f"{sorted(h)} is not a minimal hypothesis")
@@ -141,7 +152,7 @@ def decide_amh(t: TrainingContext, known: Iterable[frozenset]) -> bool:
     The {M} convention applies: a context with no hypotheses has minimal
     set {M}.
     """
-    return _first_new(t, known) is not None
+    return _first_new_named(t, known) is not None
 
 
 def find_new_min_h(t: TrainingContext, known: Iterable[frozenset]) -> frozenset:
@@ -151,10 +162,10 @@ def find_new_min_h(t: TrainingContext, known: Iterable[frozenset]) -> frozenset:
     hypothesis exists the answer is the full attribute set M, by the {M}
     convention.
     """
-    new = _first_new(t, known)
+    new = _first_new_named(t, known)
     if new is None:
         raise ValueError("precondition violated: no additional minimal hypothesis")
-    return t.positive._attrs(new)
+    return t.positive._acodec.members(new)
 
 
 def classify(intent: Iterable[str], pos: Iterable[frozenset], neg: Iterable[frozenset]) -> str:
@@ -210,10 +221,7 @@ def training_from_json(doc: dict) -> TrainingContext:
 
 def training_to_json(t: TrainingContext) -> dict:
     def rows(ctx: FormalContext) -> dict:
-        return {
-            g: "".join("X" if m in ctx.row(g) else "." for m in ctx.attributes)
-            for g in ctx.objects
-        }
+        return {g: _row_text(row, len(ctx.attributes)) for g, row in zip(ctx.objects, ctx._rows)}
 
     return {
         "attributes": list(t.attributes),

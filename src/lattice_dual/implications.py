@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .context import FormalContext, closed_masks
-from .poset import Poset, is_antichain
-from .util import check_guard
+from .poset import Poset
+from .util import Codec, check_guard, is_mask_antichain
 
 IS_BASE_GUARD = 18
 
@@ -53,13 +53,13 @@ def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
     context (so every intent is closed under them) and every set closed
     under them, enumerated by Close-by-One with early exit, is an intent."""
     check_guard(len(ctx.attributes), IS_BASE_GUARD, "implication base recognition")
-    known = ctx._aidx.keys()
+    codec = ctx._acodec
     rules = []
     for imp in imps:
-        if imp.premise <= known:  # else it fires only once an unknown name is derived
-            if not imp.conclusion <= known:
+        if imp.premise <= codec.index.keys():  # else it fires only once an unknown name is derived
+            if not imp.conclusion <= codec.index.keys():
                 return False  # it fires on its own premise and leaves M
-            rules.append((ctx._amask(imp.premise), ctx._amask(imp.conclusion)))
+            rules.append((codec.encode(imp.premise), codec.encode(imp.conclusion)))
     if any(ctx._close_amask(p) & c != c for p, c in rules):
         return False
 
@@ -81,9 +81,8 @@ def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
 def contraordinal_context(poset: Poset) -> FormalContext:
     """Context on P x P with p I q iff NOT p <= q; its intents are exactly
     the downsets of the poset."""
-    names = poset.elements
-    matrix = [[not poset.leq(p, q) for q in names] for p in names]
-    return FormalContext(names, names, matrix)
+    names, full = poset.elements, (1 << len(poset)) - 1
+    return FormalContext._from_rows(names, names, [full & ~up for up in poset._up])
 
 
 def distributive_min_base(poset: Poset) -> list:
@@ -104,31 +103,33 @@ def dci_to_mibr(ctx: FormalContext, a_family, b_family, imps):
     under some B-member, and extends the base with A -> M for every A-member;
     the extension is a base of the built context iff (A, B) are dual.
     """
-    a_family = [frozenset(s) for s in a_family]
-    b_family = [frozenset(s) for s in b_family]
-    imps = list(imps)
-    full = frozenset(ctx.attributes)
-    for s in a_family + b_family:
-        if not ctx.is_closed(s):
+    a_family, b_family, imps = list(a_family), list(b_family), list(imps)
+    masks = []
+    for s in map(frozenset, a_family + b_family):
+        mask = ctx._acodec.encode(s)
+        if ctx._close_amask(mask) != mask:
             raise ValueError(f"{sorted(s)} is not an intent of the context")
-    if not (is_antichain(a_family) and is_antichain(b_family)):
+        masks.append(mask)
+    a_masks, b_masks = masks[: len(a_family)], masks[len(a_family) :]
+    if not (is_mask_antichain(a_masks) and is_mask_antichain(b_masks)):
         raise ValueError("A and B must be antichains")
-    if any(a <= b for a in a_family for b in b_family):
+    if any(a & ~b == 0 for a in a_masks for b in b_masks):
         raise ValueError("property (*) violated")
     if not is_base(ctx, imps):
         raise ValueError("the given implication set is not a base of the context")
-    objects = []
-    intents = []
-    for g in ctx.objects:
-        for i, b in enumerate(b_family):
-            objects.append(f"{g}@{i}")
-            intents.append(ctx.row(g) & b)
-    built = FormalContext.from_intents(objects, ctx.attributes, intents)
-    extended = imps + [Implication(a, full) for a in a_family]
+    objects = [f"{g}@{i}" for g in ctx.objects for i in range(len(b_masks))]
+    rows = [row & b for row in ctx._rows for b in b_masks]
+    built = FormalContext._from_rows(objects, ctx.attributes, rows)
+    full = frozenset(ctx.attributes)
+    extended = imps + [Implication(ctx._acodec.members(a), full) for a in a_masks]
     return built, extended
 
 
 # -- JSON form: [{"premise": [...], "conclusion": [...]}, ...] --------
+
+
+def _is_string_list(doc) -> bool:
+    return isinstance(doc, list) and all(isinstance(m, str) for m in doc)
 
 
 def implications_from_json(doc) -> list:
@@ -136,17 +137,25 @@ def implications_from_json(doc) -> list:
         raise ValueError("implication set JSON must be a list")
     out = []
     for item in doc:
-        try:
-            out.append(Implication(item["premise"], item["conclusion"]))
-        except (KeyError, TypeError):
-            raise ValueError(f"malformed implication entry: {item!r}") from None
+        if not (
+            isinstance(item, dict)
+            and _is_string_list(item.get("premise"))
+            and _is_string_list(item.get("conclusion"))
+        ):
+            raise ValueError(
+                f"malformed implication entry (premise and conclusion must be "
+                f"lists of attribute names): {item!r}"
+            )
+        out.append(Implication(item["premise"], item["conclusion"]))
     return out
 
 
 def implications_to_json(imps: Iterable[Implication], universe) -> list:
-    from .util import canon
-
+    codec = Codec(universe, "attribute")
     return [
-        {"premise": canon(universe, i.premise), "conclusion": canon(universe, i.conclusion)}
+        {
+            "premise": codec.decode(codec.encode(i.premise)),
+            "conclusion": codec.decode(codec.encode(i.conclusion)),
+        }
         for i in imps
     ]

@@ -5,57 +5,42 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .util import check_guard
+from .util import Codec, bits, check_guard, transpose
 
 DOWNSETS_GUARD = 20
-
-
-def _bits(mask: int) -> list:
-    """Indices of the set bits of a mask, ascending."""
-    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
-
-
-def _transpose(up) -> list:
-    """Down-masks from up-masks: bit i of down[j] is bit j of up[i]."""
-    down = [0] * len(up)
-    for i, mask in enumerate(up):
-        bit = 1 << i
-        for j in _bits(mask):
-            down[j] |= bit
-    return down
 
 
 class Poset:
     """Immutable strict partial order on named elements.
 
     leq is validated to be reflexive, transitive and antisymmetric at
-    construction.  The order is held as bitmasks: bit j of _up[i] (and bit
-    i of _down[j]) is set iff element i <= element j.  _nonmin and _nonmax
-    mask the elements with something strictly below, respectively above.
+    construction.  The order is held as bitmasks over the elements' codec:
+    bit j of _up[i] (and bit i of _down[j]) is set iff element i <= element
+    j.  _nonmin and _nonmax mask the elements with something strictly
+    below, respectively above.
     """
 
-    __slots__ = ("elements", "_idx", "_up", "_down", "_nonmin", "_nonmax")
+    __slots__ = ("elements", "_codec", "_up", "_down", "_nonmin", "_nonmax")
 
     def __init__(self, elements, leq):
-        elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            raise ValueError("element names must be pairwise distinct")
-        n = len(elements)
+        codec = Codec(elements, "element")
+        n = len(codec.names)
         matrix = [list(row) for row in leq]
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError("leq matrix dimensions do not match element count")
         up = [sum(1 << j for j, x in enumerate(row) if x) for row in matrix]
-        self._store(elements, up, _transpose(up))
+        self._store(codec, up, transpose(up, n))
 
-    def _store(self, elements, up, down) -> None:
+    def _store(self, codec, up, down) -> None:
         """Validate the order given by up- and down-masks and keep it."""
+        elements = codec.names
         for i, mask in enumerate(up):
             if not mask >> i & 1:
                 raise ValueError(f"leq not reflexive at {elements[i]!r}")
         # Pairs i <= j in row-major order, so the first violation reported is
         # the one a scan of the leq matrix meets first.
         for i, mask in enumerate(up):
-            for j in _bits(mask):
+            for j in bits(mask):
                 if j != i and down[i] >> j & 1:
                     raise ValueError(
                         f"leq not antisymmetric: {elements[i]!r} and {elements[j]!r}"
@@ -68,16 +53,16 @@ class Poset:
                         f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
                     )
         self.elements = elements
-        self._idx = {e: i for i, e in enumerate(elements)}
+        self._codec = codec
         self._up = tuple(up)
         self._down = tuple(down)
         self._nonmin = sum(1 << i for i, mask in enumerate(down) if mask != 1 << i)
         self._nonmax = sum(1 << i for i, mask in enumerate(up) if mask != 1 << i)
 
     @classmethod
-    def _from_masks(cls, elements, up, down) -> "Poset":
+    def _from_masks(cls, codec, up, down) -> "Poset":
         poset = cls.__new__(cls)
-        poset._store(tuple(elements), up, down)
+        poset._store(codec, up, down)
         return poset
 
     @classmethod
@@ -86,8 +71,8 @@ class Poset:
 
         Any cycle among the pairs violates antisymmetry and is rejected.
         """
-        names = tuple(names)
-        idx = {e: i for i, e in enumerate(names)}
+        codec = Codec(names, "element")
+        names, idx = codec.names, codec.index
         n = len(names)
         up = [1 << i for i in range(n)]
         for a, b in pairs:
@@ -100,134 +85,106 @@ class Poset:
             for i in range(n):
                 if up[i] & bit:
                     up[i] |= row
-        down = _transpose(up)
+        down = transpose(up, n)
         for i in range(n):
             cycle = up[i] & down[i] & ~((2 << i) - 1)
             if cycle:
                 j = (cycle & -cycle).bit_length() - 1
                 raise ValueError(f"cycle detected through {names[i]!r} and {names[j]!r}")
-        if len(idx) != n:
-            raise ValueError("element names must be pairwise distinct")
-        return cls._from_masks(names, up, down)
+        return cls._from_masks(codec, up, down)
 
     def __len__(self):
         return len(self.elements)
 
-    def _index(self, p: str) -> int:
-        try:
-            return self._idx[p]
-        except KeyError:
-            raise ValueError(f"unknown element name: {p!r}") from None
-
-    def _mask(self, xs: Iterable[str]) -> int:
-        mask = 0
-        for p in xs:
-            mask |= 1 << self._index(p)
-        return mask
-
-    def _members(self, mask: int) -> frozenset:
-        return frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
-
     def leq(self, a: str, b: str) -> bool:
-        return bool(self._up[self._index(a)] >> self._index(b) & 1)
+        position = self._codec.position
+        return bool(self._up[position(a)] >> position(b) & 1)
 
     def down_set(self, p: str) -> frozenset:
         """Principal ideal: the smallest downset containing p."""
-        return self._members(self._down[self._index(p)])
+        return self._codec.members(self._down[self._codec.position(p)])
 
     def up_set(self, p: str) -> frozenset:
         """Principal filter: the smallest upset containing p."""
-        return self._members(self._up[self._index(p)])
+        return self._codec.members(self._up[self._codec.position(p)])
 
     def down_closure(self, xs: Iterable[str]) -> frozenset:
         """Least downset containing the given elements."""
         mask = 0
-        for p in xs:
-            mask |= self._down[self._index(p)]
-        return self._members(mask)
+        for i in bits(self._codec.encode(xs)):
+            mask |= self._down[i]
+        return self._codec.members(mask)
 
     def is_downset(self, xs: Iterable[str]) -> bool:
         xs = frozenset(xs)
         return self.down_closure(xs) == xs
 
     def all_downsets(self) -> list:
-        """Every downset exactly once (brute-force oracle, guarded).
+        """Every downset exactly once, in the family order (brute-force
+        oracle, guarded).
 
-        Enumerates by recursive element inclusion along a linear
-        extension, not by powerset filtering.
+        Enumerates by element inclusion along a linear extension, not by
+        powerset filtering.
         """
-        sets = [self._members(m) for m in self._downset_masks()]
-        index = self._idx
-        sets.sort(key=lambda s: (len(s), sorted(index[e] for e in s)))
-        return sets
+        return self._codec.family(self._downset_masks())
 
     def _downset_masks(self) -> list:
-        """Every downset as a mask, in no particular order (guarded)."""
+        """Every downset as a mask, in no particular order (guarded).
+
+        Depth-first along a linear extension on an explicit stack: each
+        element is left out in place, and the branch that takes it (when
+        everything strictly below it is taken) is pushed for later.
+        """
         check_guard(len(self.elements), DOWNSETS_GUARD, "downset enumeration")
-        n = len(self.elements)
-        order = sorted(range(n), key=lambda i: self._down[i].bit_count())
         down = self._down
+        order = sorted(range(len(down)), key=lambda i: down[i].bit_count())
         out = []
-
-        def rec(k: int, mask: int):
-            if k == len(order):
-                out.append(mask)
-                return
-            i = order[k]
-            rec(k + 1, mask)
-            strict = down[i] & ~(1 << i)
-            if strict & ~mask == 0:
-                rec(k + 1, mask | (1 << i))
-
-        rec(0, 0)
+        stack = [(0, 0)]
+        while stack:
+            k, mask = stack.pop()
+            for k in range(k, len(order)):
+                i = order[k]
+                if not down[i] & ~mask & ~(1 << i):
+                    stack.append((k + 1, mask | 1 << i))
+            out.append(mask)
         return out
 
     def restrict(self, keep: Iterable[str]) -> "Poset":
         """Induced subposet, preserving declaration order."""
         keep = set(keep)
-        names = [e for e in self.elements if e in keep]
-        unknown = keep - set(names)
+        unknown = keep - self._codec.index.keys()
         if unknown:
             raise ValueError(f"unknown element names: {sorted(unknown)}")
-        kept = [self._idx[e] for e in names]
+        kept = bits(self._codec.encode(keep))
         new_index = {old: new for new, old in enumerate(kept)}
 
         def compress(masks):
-            return [sum(1 << new_index[j] for j in _bits(masks[i]) if j in new_index) for i in kept]
+            return [sum(1 << new_index[j] for j in bits(masks[i]) if j in new_index) for i in kept]
 
-        return Poset._from_masks(names, compress(self._up), compress(self._down))
+        codec = Codec([self.elements[i] for i in kept], "element")
+        return Poset._from_masks(codec, compress(self._up), compress(self._down))
 
     def m_value(self) -> int:
         """max over p of |down(p)| + |up(p)|; at least 2 for nonempty posets."""
         if not self.elements:
             raise ValueError("m-value undefined for the empty poset")
-        return max(
-            self._down[i].bit_count() + self._up[i].bit_count()
-            for i in range(len(self.elements))
+        return max(d.bit_count() + u.bit_count() for d, u in zip(self._down, self._up))
+
+    def _covers(self, p: str, toward, away) -> frozenset:
+        """The j strictly on the `toward` side of p with nothing strictly
+        between them."""
+        i = self._codec.position(p)
+        strict = toward[i] & ~(1 << i)
+        return self._codec.members(
+            sum(1 << j for j in bits(strict) if not strict & away[j] & ~(1 << j))
         )
 
     def lower_covers(self, p: str) -> frozenset:
         """Elements q < p with nothing strictly between (transitive reduction)."""
-        i = self._index(p)
-        strict = self._down[i] & ~(1 << i)
-        covers = 0
-        for j in range(len(self.elements)):
-            if strict >> j & 1:
-                between = strict & self._up[j] & ~(1 << j)
-                if not between:
-                    covers |= 1 << j
-        return self._members(covers)
+        return self._covers(p, self._down, self._up)
 
     def upper_covers(self, p: str) -> frozenset:
-        i = self._index(p)
-        strict = self._up[i] & ~(1 << i)
-        covers = 0
-        for j in range(len(self.elements)):
-            if strict >> j & 1:
-                between = strict & self._down[j] & ~(1 << j)
-                if not between:
-                    covers |= 1 << j
-        return self._members(covers)
+        return self._covers(p, self._up, self._down)
 
     def __eq__(self, other):
         return (
@@ -260,8 +217,12 @@ def freq_complement(family, poset: Poset, p) -> Fraction:
     family = list(family)
     if not family:
         raise ValueError("frequency undefined for an empty family")
-    poset._index(p)
+    poset._codec.position(p)
     return Fraction(sum(1 for c in family if p not in c), len(family))
+
+
+# -- frozenset references: public API and test oracles.  The library itself
+#    minimises, maximises and checks antichains on masks (lattice_dual.util).
 
 
 def _canon_family(family) -> list:
@@ -308,23 +269,15 @@ def poset_from_json(doc: dict) -> Poset:
 
 
 def poset_to_json(poset: Poset) -> dict:
-    pairs = [
-        [a, b]
-        for a in poset.elements
-        for b in poset.elements
-        if a != b and poset.leq(a, b)
-    ]
-    return {"elements": list(poset.elements), "less_than": pairs}
+    names = poset.elements
+    pairs = [[names[i], names[j]] for i, up in enumerate(poset._up) for j in bits(up) if j != i]
+    return {"elements": list(names), "less_than": pairs}
 
 
 def family_from_json(doc, poset: Poset) -> list:
     """Antichain-family JSON: a list of lists of element names."""
     if not isinstance(doc, list) or not all(map(_is_name_list, doc)):
         raise ValueError("antichain family JSON must be a list of lists of element names")
-    out = []
     for member in doc:
-        s = frozenset(member)
-        for e in s:
-            poset._index(e)
-        out.append(s)
-    return out
+        poset._codec.encode(member)
+    return [frozenset(member) for member in doc]

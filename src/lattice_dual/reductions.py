@@ -9,7 +9,8 @@ from typing import Iterable
 
 from .context import FormalContext
 from .hypotheses import TrainingContext, is_hypothesis
-from .poset import Poset, is_antichain, maximal_members
+from .poset import Poset
+from .util import bits, is_mask_antichain, maximal_masks
 
 
 # -- CNF and DIMACS ----------------------------------------------------
@@ -174,15 +175,15 @@ def minvals_to_training(ctx: FormalContext, minvals) -> TrainingContext:
     """Positive context = ctx; one negative object per minimal-1-value
     intent, carrying that intent as its row.  Minimal hypotheses of the
     result are the maximal-0-value intents."""
-    minvals = [frozenset(s) for s in minvals]
-    for s in minvals:
-        if not ctx.is_closed(s):
+    masks = []
+    for s in map(frozenset, minvals):
+        mask = ctx._acodec.encode(s)
+        if ctx._close_amask(mask) != mask:
             raise ValueError(f"{sorted(s)} is not a concept intent")
-    if not is_antichain(minvals):
+        masks.append(mask)
+    if not is_mask_antichain(masks):
         raise ValueError("minimal 1-values must be pairwise incomparable")
-    neg = FormalContext.from_intents(
-        [f"neg{i}" for i in range(len(minvals))], ctx.attributes, minvals
-    )
+    neg = FormalContext._from_rows([f"neg{i}" for i in range(len(masks))], ctx.attributes, masks)
     return TrainingContext(ctx, neg)
 
 
@@ -192,15 +193,13 @@ def training_to_monotone(t: TrainingContext):
 
     Nested negative intents are normalized to an antichain; a member
     contained in another marks a superset of the 1-values the larger one
-    already marks, so subset-maximal members are kept.
+    already marks, so subset-maximal members are kept, in the family order.
     """
-    objects = list(t.positive.objects) + list(t.negative.objects)
-    intents = [t.positive.row(g) for g in t.positive.objects] + [
-        t.negative.row(g) for g in t.negative.objects
-    ]
-    stacked = FormalContext.from_intents(objects, t.attributes, intents)
-    minvals = maximal_members(t.negative.row(g) for g in t.negative.objects)
-    return stacked, minvals
+    pos, neg = t.positive, t.negative
+    stacked = FormalContext._from_rows(
+        pos.objects + neg.objects, t.attributes, pos._rows + neg._rows
+    )
+    return stacked, pos._acodec.family(maximal_masks(neg._rows))
 
 
 # -- explicit lattices and their product --------------------------------
@@ -229,11 +228,7 @@ class ExplicitLattice:
                 self._join[i][j] = self._unique_extreme(upper, up, i, j, "join")
 
     def _unique_extreme(self, mask: int, closures, i: int, j: int, kind: str) -> int:
-        best = [
-            k
-            for k in range(len(self.elements))
-            if mask >> k & 1 and mask & ~closures[k] == 0
-        ]
+        best = [k for k in bits(mask) if mask & ~closures[k] == 0]
         if len(best) != 1:
             raise ValueError(
                 f"not a lattice: no unique {kind} of "
@@ -242,10 +237,12 @@ class ExplicitLattice:
         return best[0]
 
     def meet(self, a: str, b: str) -> str:
-        return self.elements[self._meet[self.poset._index(a)][self.poset._index(b)]]
+        position = self.poset._codec.position
+        return self.elements[self._meet[position(a)][position(b)]]
 
     def join(self, a: str, b: str) -> str:
-        return self.elements[self._join[self.poset._index(a)][self.poset._index(b)]]
+        position = self.poset._codec.position
+        return self.elements[self._join[position(a)][position(b)]]
 
     @classmethod
     def from_pairs(cls, names, pairs) -> "ExplicitLattice":

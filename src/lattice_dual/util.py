@@ -1,6 +1,14 @@
-"""Shared plumbing: size guards and canonical set ordering."""
+"""Shared plumbing: size guards, and the codec between names and bitmasks.
+
+Inside the library a set is an integer bitmask over a fixed universe of
+names: bit i stands for the i-th name.  Names are translated at the API
+and CLI boundary only, by a `Codec`.  Families of masks are listed in one
+order, `family_key`, and minimised, maximised and checked for being
+antichains by the helpers below.
+"""
 
 import os
+from bisect import bisect_right
 
 GUARD_ENV = "LATTICE_DUAL_GUARD"
 
@@ -25,7 +33,112 @@ def check_guard(size: int, default: int, what: str) -> None:
         raise GuardExceeded(f"{what}: size {size} exceeds guard {limit}")
 
 
-def canon(universe, subset) -> list:
-    """Sort `subset` by declaration order of `universe`."""
-    index = {name: i for i, name in enumerate(universe)}
-    return sorted(subset, key=index.__getitem__)
+# -- masks and names ---------------------------------------------------
+
+
+def bits(mask: int) -> list:
+    """Indices of the set bits of a mask, ascending.
+
+    A sparse mask is walked one low bit at a time; a dense one is read off
+    its binary string, which costs one step per bit of its length plus a
+    start-up cost that the walk does not pay.
+    """
+    if mask.bit_count() * 4 <= mask.bit_length() + 24:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
+def transpose(masks, n: int) -> list:
+    """n masks: bit i of the j-th is bit j of masks[i]."""
+    out = [0] * n
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        for j in bits(mask):
+            out[j] |= bit
+    return out
+
+
+def family_key(mask: int) -> tuple:
+    """The one order of a family: by size, then by ascending index lists."""
+    return mask.bit_count(), bits(mask)
+
+
+class Codec:
+    """A universe of pairwise distinct names, and the translation between
+    sets of its names and bitmasks (bit i stands for names[i])."""
+
+    __slots__ = ("names", "index", "kind")
+
+    def __init__(self, names, kind: str):
+        self.names = tuple(names)
+        self.index = {x: i for i, x in enumerate(self.names)}
+        self.kind = kind
+        if len(self.index) != len(self.names):
+            raise ValueError(f"{kind} names must be pairwise distinct")
+
+    def position(self, name) -> int:
+        try:
+            return self.index[name]
+        except KeyError:
+            raise ValueError(f"unknown {self.kind} name: {name!r}") from None
+
+    def encode(self, names) -> int:
+        mask = 0
+        for x in names:
+            mask |= 1 << self.position(x)
+        return mask
+
+    def decode(self, mask: int) -> list:
+        """The names of the set bits, in universe order."""
+        return list(map(self.names.__getitem__, bits(mask)))
+
+    def members(self, mask: int) -> frozenset:
+        """The names of the set bits, as a set."""
+        return frozenset(map(self.names.__getitem__, bits(mask)))
+
+    def family(self, masks) -> list:
+        """Masks as name sets, in the family order."""
+        return [self.members(m) for m in sorted(masks, key=family_key)]
+
+
+# -- antichains of masks -----------------------------------------------
+
+
+def is_mask_antichain(family) -> bool:
+    """No member contains another; a repeated member counts as contained."""
+    if len(family) < 2:
+        return True
+    if len(set(family)) != len(family):
+        return False
+    # Distinct members of equal size are incomparable, so each member is
+    # tested only against strictly larger ones.
+    by_size = sorted(family, key=int.bit_count)
+    sizes = [s.bit_count() for s in by_size]
+    for s, size in zip(by_size, sizes):
+        larger = by_size[bisect_right(sizes, size):]
+        if any(s & ~t == 0 for t in larger):
+            return False
+    return True
+
+
+def minimal_masks(family) -> tuple:
+    """Subset-minimal masks, deduplicated, as a sorted tuple."""
+    out = []
+    for s in sorted(set(family), key=int.bit_count):
+        if all(t & ~s for t in out):
+            out.append(s)
+    return tuple(sorted(out))
+
+
+def maximal_masks(family) -> tuple:
+    """Subset-maximal masks, deduplicated, as a sorted tuple."""
+    out = []
+    for s in sorted(set(family), key=int.bit_count, reverse=True):
+        if all(s & ~t for t in out):
+            out.append(s)
+    return tuple(sorted(out))

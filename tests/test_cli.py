@@ -201,6 +201,14 @@ def test_dual_dualize(capsys, tmp_path):
     assert json.loads(out) == [["p1"], ["p2"]]
 
 
+def test_dual_dualize_mixed_name_types(capsys, tmp_path):
+    # Element names may mix strings and numbers; no step may sort by name.
+    poset, a = write_poset_inputs(tmp_path, [1, "a"], [], [])
+    code, out, err = run_cli(capsys, "dual", "dualize", "--poset", poset, "--a", a)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [[1, "a"]]
+
+
 def test_dual_non_downset_exit_2(capsys, tmp_path):
     poset, a, b = write_poset_inputs(
         tmp_path, ["p1", "p2"], [["p1", "p2"]], [["p2"]], [[]]
@@ -329,6 +337,31 @@ def test_reduce_dci2mibr_malformed_family_exit_2(capsys, tmp_path, side):
     assert code == 2
     assert out == ""
     assert "error" in err and "family" in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"premise": "ab", "conclusion": "a"},
+        {"premise": ["a"], "conclusion": [1]},
+        {"premise": ["a"]},
+        ["a", "b"],
+    ],
+)
+def test_reduce_dci2mibr_malformed_implication_exit_2(capsys, tmp_path, entry):
+    ctx_path = tmp_path / "ctx.cxt"
+    ctx_path.write_text("B\n\n2\n2\n\np1\np2\na\nb\n.X\nX.\n")
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps([]))
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps([entry]))
+    code, out, err = run_cli(
+        capsys, "reduce", "dci2mibr", "--context", str(ctx_path),
+        "--a", str(fam), "--b", str(fam), "--base", str(base),
+    )
+    assert code == 2
+    assert out == ""
+    assert "malformed implication entry" in err and repr(entry) in err
 
 
 def test_missing_file_exit_2(capsys):

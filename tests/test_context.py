@@ -197,7 +197,7 @@ def test_closed_masks_is_every_closure_in_lectic_order(shape):
     n, rows = shape
     ctx = FormalContext([f"g{i}" for i in range(len(rows))], [f"m{j}" for j in range(n)],
                         [[r >> j & 1 for j in range(n)] for r in rows])
-    got = [ctx._attrs(b) for b in closed_masks(n, ctx._close_amask)]
+    got = [ctx._acodec.members(b) for b in closed_masks(n, ctx._close_amask)]
     assert got == brute_intents(ctx)
 
 

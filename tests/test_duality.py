@@ -255,6 +255,29 @@ def test_duality_long_chain_runs_without_recursion_limit():
     assert duality_test_stats(inst) == (True, 2201)
 
 
+def test_brute_paths_on_a_deep_chain(monkeypatch):
+    # Downset enumeration runs on an explicit stack: a guard that admits
+    # a 1,100-element chain must not meet Python's recursion limit.
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "5000")
+    names = [f"c{i}" for i in range(1, 1101)]
+    chain = poset_from_pairs(names, list(zip(names, names[1:])))
+    assert dualize_brute([["c1100"]], chain) == [frozenset(names[:-1])]
+    assert len(chain.all_downsets()) == 1101
+    inst = DualityInstance(chain, [names], [names[:-1]])
+    assert brute_force_dual(inst).dual
+
+
+def test_dualize_lists_members_in_family_order():
+    # Declaration order differs from name order, so a sort by names would
+    # list the members differently.
+    names = ["z", "b", "y", "a", "x"]
+    poset = poset_from_pairs(names, [("z", "y"), ("b", "a")])
+    dual = dualize_brute([{"z", "b"}, {"x"}], poset)
+    assert dual == [d for d in poset.all_downsets() if d in set(dual)]
+    assert dual == [frozenset({"z", "y"}), frozenset({"b", "a"})]
+    assert sorted(dual, key=sorted) != dual
+
+
 # -- property-based agreement with the oracle -------------------------------------
 
 

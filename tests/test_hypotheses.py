@@ -23,7 +23,7 @@ from lattice_dual import (
     training_to_json,
 )
 
-from lattice_dual.hypotheses import _minimal_masks
+from lattice_dual.hypotheses import _minimal_hypothesis_masks
 
 from conftest import ATTRS6, EIGHT_MINIMAL, genuine_minimal_hypotheses, random_training
 
@@ -248,7 +248,7 @@ def test_iterate_agrees_with_oracle(t):
 @given(trainings(), st.integers(0, 2))
 def test_pruned_search_agrees_with_oracle(t, k):
     # lectic order, no repeats, and the genuine minimal k-weak hypotheses
-    found = [t.positive._attrs(b) for b in _minimal_masks(t, k)]
+    found = [t.positive._acodec.members(b) for b in _minimal_hypothesis_masks(t, k)]
     assert found == [h for h in t.positive.intents() if h in set(found)]
     assert len(found) == len(set(found))
     assert set(found) == set(genuine_minimal_hypotheses(t, k))

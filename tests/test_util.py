@@ -1,0 +1,70 @@
+"""The codec between names and bitmasks, the family order and the mask
+antichain helpers."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from lattice_dual import is_antichain, maximal_members, minimal_members
+from lattice_dual.util import (
+    Codec,
+    bits,
+    family_key,
+    is_mask_antichain,
+    maximal_masks,
+    minimal_masks,
+)
+
+UNIVERSE = Codec([f"e{i}" for i in range(300)], "element")
+
+
+@st.composite
+def index_sets(draw, max_n=300):
+    """Sparse sets, or dense ones drawn as the complement of a sparse set."""
+    n = draw(st.integers(0, max_n))
+    picked = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    if draw(st.booleans()):
+        picked = set(range(n)) - picked
+    return picked
+
+
+@given(index_sets())
+def test_bits_are_the_sorted_indices(picked):
+    assert bits(sum(1 << i for i in picked)) == sorted(picked)
+
+
+@given(index_sets())
+def test_decode_inverts_encode(picked):
+    names = {UNIVERSE.names[i] for i in picked}
+    mask = UNIVERSE.encode(names)
+    assert mask == sum(1 << i for i in picked)
+    assert UNIVERSE.members(mask) == names
+    assert UNIVERSE.decode(mask) == [UNIVERSE.names[i] for i in sorted(picked)]
+    assert UNIVERSE.encode(UNIVERSE.decode(mask)) == mask
+
+
+def test_codec_rejects_unknown_and_repeated_names():
+    with pytest.raises(ValueError, match="unknown element name: 'zz'"):
+        UNIVERSE.encode(["e1", "zz"])
+    with pytest.raises(ValueError, match="attribute names must be pairwise distinct"):
+        Codec(["m1", "m1"], "attribute")
+
+
+def test_family_order_is_size_then_indices():
+    codec = Codec(["z", "b", "a"], "element")
+    family = [{"a"}, {"z", "a"}, {"b"}, set(), {"z", "b"}]
+    masks = sorted(map(codec.encode, family), key=family_key)
+    assert [codec.decode(m) for m in masks] == [[], ["b"], ["a"], ["z", "b"], ["z", "a"]]
+    assert codec.family(map(codec.encode, family)) == [frozenset(codec.decode(m)) for m in masks]
+
+
+families = st.lists(st.integers(0, 2**7 - 1), max_size=8)
+
+
+@given(families)
+def test_mask_helpers_agree_with_the_frozenset_references(family):
+    codec = Codec(range(7), "element")
+    sets = [codec.members(m) for m in family]
+    assert set(map(codec.members, minimal_masks(family))) == set(minimal_members(sets))
+    assert set(map(codec.members, maximal_masks(family))) == set(maximal_members(sets))
+    assert is_mask_antichain(family) == is_antichain(sets)
