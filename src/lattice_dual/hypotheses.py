@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .context import FormalContext, _row_text, closed_masks
-from .util import minimal_masks
+from .context import CONCEPTS_GUARD, FormalContext, _row_text, closed_masks
+from .util import check_guard
 
 
 @dataclass(frozen=True)
@@ -65,29 +65,21 @@ def enumerate_hypotheses(t: TrainingContext, k: int = 0) -> list:
 
 def minimal_hypotheses(t: TrainingContext, k: int = 0, method: str = "oracle") -> list:
     """Subset-minimal k-weak hypotheses, in the family order; {M} when no
-    hypothesis exists.
+    hypothesis exists (guarded like concept enumeration).
 
-    method="oracle" minimizes the full hypothesis enumeration;
-    method="iterate" repeats the search for a new minimal hypothesis
-    (k=0 only). Both agree.
+    Both methods, "oracle" and "iterate", run the one pruned search.
     """
-    codec = t.positive._acodec
-    if method == "oracle":
-        found = minimal_masks(map(codec.encode, enumerate_hypotheses(t, k)))
-        return codec.family(found) if found else [frozenset(t.attributes)]
-    if method == "iterate":
-        if k != 0:
-            raise ValueError("iterate method supports k=0 only")
-        found = []
-        while (new := _first_new(t, found)[0]) is not None:
-            found.append(new)
-        return codec.family(found)
-    raise ValueError(f"unknown method: {method!r}")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if method not in ("oracle", "iterate"):
+        raise ValueError(f"unknown method: {method!r}")
+    check_guard(len(t.attributes), CONCEPTS_GUARD, "concept enumeration")
+    return t.positive._acodec.family(_minimal_hypothesis_masks(t, k))
 
 
 def _minimal_hypothesis_masks(t: TrainingContext, k: int):
-    """Subset-minimal k-weak hypotheses as masks, in lectic order, without
-    the {M} convention.
+    """Subset-minimal k-weak hypotheses as masks, in lectic order; M alone
+    when there is none (the {M} convention; M is lectically last).
 
     Close-by-One over the positive intents, pruned below every hypothesis:
     the closed sets on the way to a minimal hypothesis are closed proper
@@ -104,42 +96,32 @@ def _minimal_hypothesis_masks(t: TrainingContext, k: int):
         if hit(b) and not any(h & b == h for h in kept):
             kept.append(b)
             yield b
+    if not kept:
+        yield (1 << len(t.attributes)) - 1
 
 
-def _first_new(t: TrainingContext, masks) -> tuple:
-    """(new, seen): the lectically first minimal hypothesis mask outside
-    `masks` (None if there is none), and the minimal hypotheses the search
-    saw.  The search stops once every member of `masks` is seen and a new
-    one is found; a member that is not a minimal hypothesis (None standing
-    for a set with an unknown name) is never seen, so the search runs to
-    the end and `seen` is complete."""
-    masks = set(masks)
-    pending = set(masks)
-    seen, new = set(), None
-    for b in _minimal_hypothesis_masks(t, 0):
-        seen.add(b)
-        pending.discard(b)
-        if new is None and b not in masks:
-            new = b
-        if new is not None and not pending:
-            return new, seen
-    if not seen:
-        # the {M} convention: with no hypothesis at all, M is the minimal one
-        full = (1 << len(t.attributes)) - 1
-        seen.add(full)
-        new = None if full in masks else full
-    return new, seen
+def _first_new(t: TrainingContext, known) -> int | None:
+    """The lectically first minimal hypothesis mask outside `known` (None if
+    there is none); raises ValueError unless every member of `known` is a
+    minimal hypothesis.
 
-
-def _first_new_named(t: TrainingContext, known) -> int | None:
-    """_first_new for name sets; raises ValueError unless every member of
-    `known` is a minimal hypothesis."""
+    The search stops once every member of `known` is seen and a new one is
+    found; a member that is not a minimal hypothesis, or names an unknown
+    attribute, is never seen, so then the search runs to the end.
+    """
     known = [frozenset(h) for h in known]
     codec = t.positive._acodec
     masks = [codec.encode(h) if h <= codec.index.keys() else None for h in known]
-    new, seen = _first_new(t, masks)
+    pending, new = set(masks), None
+    for b in _minimal_hypothesis_masks(t, 0):  # each mask comes once
+        if b in pending:
+            pending.remove(b)
+        elif new is None:
+            new = b
+        if new is not None and not pending:
+            return new
     for h, b in zip(known, masks):
-        if b not in seen:
+        if b in pending:
             raise ValueError(f"{sorted(h)} is not a minimal hypothesis")
     return new
 
@@ -152,7 +134,7 @@ def decide_amh(t: TrainingContext, known: Iterable[frozenset]) -> bool:
     The {M} convention applies: a context with no hypotheses has minimal
     set {M}.
     """
-    return _first_new_named(t, known) is not None
+    return _first_new(t, known) is not None
 
 
 def find_new_min_h(t: TrainingContext, known: Iterable[frozenset]) -> frozenset:
@@ -162,7 +144,7 @@ def find_new_min_h(t: TrainingContext, known: Iterable[frozenset]) -> frozenset:
     hypothesis exists the answer is the full attribute set M, by the {M}
     convention.
     """
-    new = _first_new_named(t, known)
+    new = _first_new(t, known)
     if new is None:
         raise ValueError("precondition violated: no additional minimal hypothesis")
     return t.positive._acodec.members(new)

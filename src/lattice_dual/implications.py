@@ -104,6 +104,9 @@ def dci_to_mibr(ctx: FormalContext, a_family, b_family, imps):
     the extension is a base of the built context iff (A, B) are dual.
     """
     a_family, b_family, imps = list(a_family), list(b_family), list(imps)
+    unknown = set().union(*(i.premise | i.conclusion for i in imps)) - set(ctx.attributes)
+    if unknown:
+        raise ValueError(f"the base names attributes outside the context: {sorted(unknown)}")
     masks = []
     for s in map(frozenset, a_family + b_family):
         mask = ctx._acodec.encode(s)

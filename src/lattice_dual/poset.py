@@ -24,16 +24,12 @@ class Poset:
 
     def __init__(self, elements, leq):
         codec = Codec(elements, "element")
-        n = len(codec.names)
+        elements, n = codec.names, len(codec.names)
         matrix = [list(row) for row in leq]
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError("leq matrix dimensions do not match element count")
         up = [sum(1 << j for j, x in enumerate(row) if x) for row in matrix]
-        self._store(codec, up, transpose(up, n))
-
-    def _store(self, codec, up, down) -> None:
-        """Validate the order given by up- and down-masks and keep it."""
-        elements = codec.names
+        down = transpose(up, n)
         for i, mask in enumerate(up):
             if not mask >> i & 1:
                 raise ValueError(f"leq not reflexive at {elements[i]!r}")
@@ -52,7 +48,13 @@ class Poset:
                         f"leq not transitive at "
                         f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
                     )
-        self.elements = elements
+        self._store(codec, up, down)
+
+    def _store(self, codec, up, down) -> None:
+        """Keep the order given by up- and down-masks.  Only __init__, which
+        receives a raw leq matrix, validates it: from_pairs closes and
+        rejects cycles itself, and restrict induces a valid order."""
+        self.elements = codec.names
         self._codec = codec
         self._up = tuple(up)
         self._down = tuple(down)
@@ -226,7 +228,11 @@ def freq_complement(family, poset: Poset, p) -> Fraction:
 
 
 def _canon_family(family) -> list:
-    return sorted(set(map(frozenset, family)), key=lambda s: (len(s), sorted(s)))
+    # Numbers sort before strings, so the mixed names poset JSON allows compare.
+    return sorted(
+        set(map(frozenset, family)),
+        key=lambda s: (len(s), sorted((isinstance(x, str), x) for x in s)),
+    )
 
 
 def minimal_members(family) -> list:

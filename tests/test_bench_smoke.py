@@ -1,0 +1,28 @@
+"""Quick run of every benchmark workload: it must finish with every task
+correct.  Timings are never checked; this catches a library change that the
+benchmark relies on, such as a renamed function or keyword."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+    WORKLOADS = [w["name"] for w in json.load(fh)["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_workload_runs_correctly(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0.2", "--trace", "0", "--tiny"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

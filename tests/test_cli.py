@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lattice_dual import contranominal_scale, write_cxt
+from lattice_dual import contranominal_scale, training_to_json, write_cxt
 from lattice_dual.cli import main
 
 from conftest import ATTRS6, EIGHT_MINIMAL, make_worked_training
@@ -136,6 +136,22 @@ def test_hypo_amh_malformed_hyps_exit_2(capsys, worked_files, tmp_path, hyps):
     assert code == 2
     assert out == ""
     assert "error" in err and "family" in err
+
+
+def test_hypo_minimal_guard_exit_3(capsys, tmp_path, monkeypatch):
+    attrs = [f"m{j}" for j in range(26)]
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps(
+        {"attributes": attrs, "positive": {"g1": "X" * 26}, "negative": {"g2": "." * 26}}
+    ))
+    code, out, err = run_cli(capsys, "hypo", "minimal", "--train", str(train))
+    assert code == 3
+    assert out == ""
+    assert "guard 25" in err
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "26")
+    code, out, _ = run_cli(capsys, "hypo", "minimal", "--train", str(train))
+    assert code == 0
+    assert json.loads(out) == [attrs]
 
 
 @pytest.mark.parametrize(
@@ -362,6 +378,46 @@ def test_reduce_dci2mibr_malformed_implication_exit_2(capsys, tmp_path, entry):
     assert code == 2
     assert out == ""
     assert "malformed implication entry" in err and repr(entry) in err
+
+
+def test_reduce_dci2mibr_unknown_base_attribute_exit_2(capsys, tmp_path):
+    ctx_path = tmp_path / "ctx.cxt"
+    ctx_path.write_text("B\n\n2\n2\n\np1\np2\np1\np2\n.X\nX.\n")
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps([]))
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps([{"premise": ["zz"], "conclusion": ["p1"]}]))
+    code, out, err = run_cli(
+        capsys, "reduce", "dci2mibr", "--context", str(ctx_path),
+        "--a", str(fam), "--b", str(fam), "--base", str(base),
+    )
+    assert code == 2
+    assert out == ""
+    assert "outside the context" in err and "zz" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual", "test", "--poset", "deep.json", "--a", "fam.json", "--b", "fam.json"],
+        ["dual", "test", "--poset", "poset.json", "--a", "deep.json", "--b", "fam.json"],
+        ["hypo", "all", "--train", "deep.json"],
+        ["--strict-exit", "hypo", "amh", "--train", "train.json", "--hyps", "deep.json"],
+        ["reduce", "dci2mibr", "--context", "ctx.cxt", "--a", "fam.json", "--b", "fam.json",
+         "--base", "deep.json"],
+    ],
+)
+def test_deeply_nested_json_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "poset.json").write_text(json.dumps({"elements": ["p1"], "less_than": []}))
+    (tmp_path / "fam.json").write_text("[]")
+    (tmp_path / "train.json").write_text(json.dumps(training_to_json(make_worked_training())))
+    (tmp_path / "ctx.cxt").write_text("B\n\n1\n1\n\ng1\nm1\nX\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "deep.json: JSON nested too deeply" in err
 
 
 def test_missing_file_exit_2(capsys):

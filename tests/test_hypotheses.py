@@ -24,6 +24,7 @@ from lattice_dual import (
 )
 
 from lattice_dual.hypotheses import _minimal_hypothesis_masks
+from lattice_dual.util import family_key
 
 from conftest import ATTRS6, EIGHT_MINIMAL, genuine_minimal_hypotheses, random_training
 
@@ -247,11 +248,21 @@ def test_iterate_agrees_with_oracle(t):
 @settings(max_examples=150, deadline=None)
 @given(trainings(), st.integers(0, 2))
 def test_pruned_search_agrees_with_oracle(t, k):
-    # lectic order, no repeats, and the genuine minimal k-weak hypotheses
+    # lectic order, no repeats, and the genuine minimal k-weak hypotheses,
+    # or M alone when there is none
     found = [t.positive._acodec.members(b) for b in _minimal_hypothesis_masks(t, k)]
     assert found == [h for h in t.positive.intents() if h in set(found)]
     assert len(found) == len(set(found))
-    assert set(found) == set(genuine_minimal_hypotheses(t, k))
+    assert set(found) == set(genuine_minimal_hypotheses(t, k) or [frozenset(t.attributes)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(trainings(), st.integers(0, 2), st.sampled_from(["oracle", "iterate"]))
+def test_minimal_hypotheses_match_reference(t, k, method):
+    codec = t.positive._acodec
+    expected = genuine_minimal_hypotheses(t, k) or [frozenset(t.attributes)]
+    expected.sort(key=lambda h: family_key(codec.encode(h)))
+    assert minimal_hypotheses(t, k, method=method) == expected
 
 
 @settings(max_examples=150, deadline=None)

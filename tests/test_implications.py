@@ -323,6 +323,13 @@ def test_dci_rejects_non_intent():
         dci_to_mibr(ctx, [{"p2"}], [], distributive_min_base(p))
 
 
+def test_dci_rejects_unknown_attributes_in_base():
+    ctx = contraordinal_context(poset_from_pairs(["p1", "p2"], []))
+    for base in ([imp({"zz"}, {"p1"})], [imp({"p1"}, {"p2", "yy"})]):
+        with pytest.raises(ValueError, match="outside the context.*(zz|yy)"):
+            dci_to_mibr(ctx, [], [], base)
+
+
 def test_dci_rejects_non_base():
     p = poset_from_pairs(["p1", "p2", "p3"], [("p1", "p2"), ("p2", "p3")])
     ctx = contraordinal_context(p)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_dual import (
     GuardExceeded,
@@ -71,6 +73,32 @@ def test_from_pairs_rejects_unknown_name():
 def test_from_pairs_rejects_duplicate_names():
     with pytest.raises(ValueError):
         poset_from_pairs(["p1", "p1"], [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)
+    if n else st.just([]),
+    st.integers(0, 2**n - 1),
+)))
+def test_from_pairs_matches_brute_closure(case):
+    # from_pairs and restrict skip the order validation of Poset(...)
+    n, pairs, keep = case
+    names = [f"p{i}" for i in range(n)]
+    leq = [[i == j or (i, j) in pairs for j in range(n)] for i in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    named = [(names[i], names[j]) for i, j in pairs]
+    if any(leq[i][j] and leq[j][i] for i in range(n) for j in range(n) if i != j):
+        with pytest.raises(ValueError, match="cycle"):
+            Poset.from_pairs(names, named)
+        return
+    p = Poset.from_pairs(names, named)
+    assert p == Poset(names, leq)
+    kept = [i for i in range(n) if keep >> i & 1]
+    induced = [[leq[i][j] for j in kept] for i in kept]
+    assert p.restrict(names[i] for i in kept) == Poset([names[i] for i in kept], induced)
 
 
 # -- principal sets ------------------------------------------------------
@@ -220,6 +248,12 @@ def test_minimal_members_example():
 def test_maximal_members_incomparable_kept():
     got = maximal_members([{"p1"}, {"p2"}])
     assert set(got) == {frozenset({"p1"}), frozenset({"p2"})}
+
+
+def test_members_of_mixed_name_types():
+    family = [{"a"}, {1}, {1, "a"}, {2.5}]
+    assert minimal_members(family) == [frozenset({1}), frozenset({2.5}), frozenset({"a"})]
+    assert maximal_members(family) == [frozenset({2.5}), frozenset({1, "a"})]
 
 
 def test_minimal_members_empty():
