@@ -104,10 +104,23 @@ class FormalContext:
 
     # -- concept enumeration ------------------------------------------
 
+    def _extent_step(self):
+        """Close-by-One's step and start for this context, carrying each
+        intent's extent: a child's extent is its parent's AND one column,
+        and its intent is the AND of the rows of that extent."""
+        rows, cols, n = self._rows, self._cols, len(self._cols)
+
+        def extend(extent, _b, j):
+            extent &= cols[j]
+            return _meet(rows, n, extent), extent
+
+        everything = (1 << len(rows)) - 1
+        return extend, (_meet(rows, n, everything), everything)
+
     def intent_masks(self) -> list:
         """All closed attribute masks, in lectic order."""
         check_guard(len(self.attributes), CONCEPTS_GUARD, "concept enumeration")
-        return list(closed_masks(len(self.attributes), self._close_amask))
+        return list(closed_masks(len(self.attributes), *self._extent_step()))
 
     def intents(self) -> list:
         return [self._acodec.members(m) for m in self.intent_masks()]
@@ -150,16 +163,22 @@ def _meet(vectors, n: int, mask: int) -> int:
     return out
 
 
-def closed_masks(n: int, close, prune=None):
-    """Close-by-One: every set closed under `close` over n attributes, once,
-    in lectic order (of two sets, the one holding the first attribute where
-    they differ comes later).  A set b reached at attribute y has children
-    close(b | 1<<j) for j >= y not in b, kept when they add nothing below j;
-    they are pushed in ascending j, so the pre-order is lectic.  A set for
-    which prune(b) holds is yielded but not expanded."""
-    stack = [(close(0), 0)]
+def closed_masks(n: int, extend, start, prune=None):
+    """Close-by-One: every closed set over n attributes, once, in lectic
+    order (of two sets, the one holding the first attribute where they
+    differ comes later).
+
+    Each closed set carries a state to its children.  `start` is the least
+    closed set with its state, and extend(state, b | 1<<j, j) returns the
+    closure of b | 1<<j with its own state, given b's state.  A set b
+    reached at attribute y has children for j >= y not in b, kept when they
+    add nothing below j; they are pushed in ascending j, so the pre-order is
+    lectic.  A set for which prune(b) holds is yielded but not expanded;
+    prune(b) is called only after the consumer has received b.
+    """
+    stack = [(*start, 0)]
     while stack:
-        b, y = stack.pop()
+        b, state, y = stack.pop()
         yield b
         if prune is not None and prune(b):
             continue
@@ -167,9 +186,9 @@ def closed_masks(n: int, close, prune=None):
             bit = 1 << j
             if b & bit:
                 continue
-            c = close(b | bit)
+            c, child = extend(state, b | bit, j)
             if not (c & ~b) & (bit - 1):
-                stack.append((c, j + 1))
+                stack.append((c, child, j + 1))
 
 
 def contranominal_scale(n: int) -> FormalContext:

@@ -85,15 +85,15 @@ def _minimal_hypothesis_masks(t: TrainingContext, k: int):
     the closed sets on the way to a minimal hypothesis are closed proper
     subsets of it, so none is a hypothesis and none is pruned.  Lectic
     order extends inclusion, so a pruned hit is minimal exactly when no
-    earlier minimal hit lies below it.
+    earlier minimal hit lies below it.  Each closed set is tested once: the
+    engine asks prune(b) only after b is received here, so the prune
+    predicate pops the verdict stored for b.
     """
-
-    def hit(b):
-        return _negative_cover_count(t, b) <= k
-
+    verdict = {}
     kept = []
-    for b in closed_masks(len(t.attributes), t.positive._close_amask, hit):
-        if hit(b) and not any(h & b == h for h in kept):
+    for b in closed_masks(len(t.attributes), *t.positive._extent_step(), verdict.pop):
+        verdict[b] = hit = _negative_cover_count(t, b) <= k
+        if hit and not any(h & b == h for h in kept):
             kept.append(b)
             yield b
     if not kept:

@@ -63,7 +63,8 @@ def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
     if any(ctx._close_amask(p) & c != c for p, c in rules):
         return False
 
-    def chain(x: int) -> int:
+    def chain(_state, x: int, _j):
+        """Forward chaining as a stateless Close-by-One step."""
         grown = True
         while grown:
             grown = False
@@ -71,10 +72,11 @@ def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
                 if p & x == p and c & ~x:
                     x |= c
                     grown = True
-        return x
+        return x, None
 
     return all(
-        ctx._close_amask(x) == x for x in closed_masks(len(ctx.attributes), chain)
+        ctx._close_amask(x) == x
+        for x in closed_masks(len(ctx.attributes), chain, chain(None, 0, None))
     )
 
 

@@ -10,6 +10,45 @@ from .util import Codec, bits, check_guard, transpose
 DOWNSETS_GUARD = 20
 
 
+def _reach(succ) -> tuple:
+    """(up, cyclic): up[i] is i with everything reachable from i along the
+    successor masks succ, by one depth-first search in post-order, where a
+    node's mask is the OR of its successors' masks; cyclic tells whether an
+    edge led back to a node on the search path.  O(n + pairs) mask
+    operations."""
+    up = [0] * len(succ)
+    done = 0
+    cyclic = False
+    # Roots in descending order: when pairs mostly run from earlier to later
+    # elements, a node's successors are then finished before it is reached.
+    for root in reversed(range(len(succ))):
+        if done >> root & 1:
+            continue
+        stack, path = [root], 1 << root
+        while stack:
+            v = stack[-1]
+            todo = succ[v] & ~done
+            if todo & path:
+                cyclic = True
+                todo &= ~path
+            if todo:
+                low = todo & -todo
+                path |= low
+                stack.append(low.bit_length() - 1)
+                continue
+            stack.pop()
+            row = rest = succ[v]
+            while rest:
+                low = rest & -rest
+                row |= up[low.bit_length() - 1]
+                rest ^= low
+            bit = 1 << v
+            up[v] = row | bit
+            done |= bit
+            path ^= bit
+    return up, cyclic
+
+
 class Poset:
     """Immutable strict partial order on named elements.
 
@@ -76,17 +115,24 @@ class Poset:
         codec = Codec(names, "element")
         names, idx = codec.names, codec.index
         n = len(names)
-        up = [1 << i for i in range(n)]
+        succ = [0] * n
         for a, b in pairs:
             if a not in idx or b not in idx:
                 raise ValueError(f"unknown name in pair ({a!r}, {b!r})")
-            up[idx[a]] |= 1 << idx[b]
-        # Warshall's closure, one bitmask row at a time.
-        for k in range(n):
-            bit, row = 1 << k, up[k]
-            for i in range(n):
-                if up[i] & bit:
-                    up[i] |= row
+            if a != b:
+                succ[idx[a]] |= 1 << idx[b]
+        up, cyclic = _reach(succ)
+        if cyclic:
+            # The post-order misses what a cycle leads back to: close to a
+            # fixpoint, so that the check below names the first cycle.
+            grown = True
+            while grown:
+                grown = False
+                for i, row in enumerate(up):
+                    for j in bits(row):
+                        row |= up[j]
+                    if row != up[i]:
+                        up[i], grown = row, True
         down = transpose(up, n)
         for i in range(n):
             cycle = up[i] & down[i] & ~((2 << i) - 1)

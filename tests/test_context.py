@@ -189,31 +189,59 @@ def test_lectic_enumeration_agrees_with_powerset():
         assert ctx.intents() == brute_intents(ctx)
 
 
+def small_contexts():
+    """(n, context) with up to 7 attributes and 6 objects, any incidence."""
+    return st.integers(0, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6)
+    )).map(lambda shape: (shape[0], FormalContext(
+        [f"g{i}" for i in range(len(shape[1]))], [f"m{j}" for j in range(shape[0])],
+        [[r >> j & 1 for j in range(shape[0])] for r in shape[1]],
+    )))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 7).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
-))
+@given(small_contexts())
 def test_closed_masks_is_every_closure_in_lectic_order(shape):
-    n, rows = shape
-    ctx = FormalContext([f"g{i}" for i in range(len(rows))], [f"m{j}" for j in range(n)],
-                        [[r >> j & 1 for j in range(n)] for r in rows])
-    got = [ctx._acodec.members(b) for b in closed_masks(n, ctx._close_amask)]
+    # the engine driven by a stateless step, as base recognition drives it
+    n, ctx = shape
+
+    def step(_state, b, _j):
+        return ctx._close_amask(b), None
+
+    got = [ctx._acodec.members(b) for b in closed_masks(n, step, step(None, 0, None))]
     assert got == brute_intents(ctx)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_contexts())
+def test_closed_masks_carries_each_intents_extent(shape):
+    # every state the context's step hands over is the extent of the closed
+    # set it comes with, and the sets are the closures in lectic order
+    n, ctx = shape
+    extend, start = ctx._extent_step()
+    carried = {start[0]: {start[1]}}
+
+    def recording(state, b, j):
+        c, child = extend(state, b, j)
+        carried.setdefault(c, set()).add(child)
+        return c, child
+
+    got = list(closed_masks(n, recording, start))
+    for b in got:
+        assert ctx._close_amask(b) == b
+        assert carried[b] == {ctx._extent_amask(b)}
+    assert [ctx._acodec.members(b) for b in got] == brute_intents(ctx)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 7).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))
-), st.integers(0, 2**7 - 1))
+@given(small_contexts(), st.integers(0, 2**7 - 1))
 def test_closed_masks_prune_cuts_only_below(shape, cut):
     # pruning keeps lectic order and still reaches every closed set that has
     # no pruned closed proper subset
-    n, rows = shape
-    ctx = FormalContext([f"g{i}" for i in range(len(rows))], [f"m{j}" for j in range(n)],
-                        [[r >> j & 1 for j in range(n)] for r in rows])
+    n, ctx = shape
     cut &= (1 << n) - 1
-    everything = list(closed_masks(n, ctx._close_amask))
-    pruned = list(closed_masks(n, ctx._close_amask, lambda b: b & cut == cut))
+    everything = list(closed_masks(n, *ctx._extent_step()))
+    pruned = list(closed_masks(n, *ctx._extent_step(), lambda b: b & cut == cut))
     assert set(pruned) <= set(everything)
     assert pruned == [b for b in everything if b in set(pruned)]
     for b in everything:

@@ -14,6 +14,7 @@ from lattice_dual import (
     TrainingContext,
     classify,
     decide_amh,
+    dualize_brute,
     enumerate_hypotheses,
     find_new_min_h,
     is_hypothesis,
@@ -26,7 +27,14 @@ from lattice_dual import (
 from lattice_dual.hypotheses import _minimal_hypothesis_masks
 from lattice_dual.util import family_key
 
-from conftest import ATTRS6, EIGHT_MINIMAL, genuine_minimal_hypotheses, random_training
+from conftest import (
+    ATTRS6,
+    EIGHT_MINIMAL,
+    genuine_minimal_hypotheses,
+    random_antichain,
+    random_poset,
+    random_training,
+)
 
 
 def small_training(pos_rows, neg_rows, attrs):
@@ -152,9 +160,9 @@ def test_minimal_methods_agree():
     rng = random.Random(101)
     for _ in range(40):
         t = random_training(rng, max_side=4, max_attrs=5)
-        oracle = set(minimal_hypotheses(t, method="oracle"))
-        iterated = set(minimal_hypotheses(t, method="iterate"))
-        assert oracle == iterated
+        expected = set(genuine_minimal_hypotheses(t) or [frozenset(t.attributes)])
+        for method in ("oracle", "iterate"):
+            assert set(minimal_hypotheses(t, method=method)) == expected
 
 
 def test_minimal_rejects_unknown_method(worked_training):
@@ -242,7 +250,10 @@ def trainings(draw):
 @settings(max_examples=150, deadline=None)
 @given(trainings())
 def test_iterate_agrees_with_oracle(t):
-    assert minimal_hypotheses(t, method="iterate") == minimal_hypotheses(t, method="oracle")
+    expected = genuine_minimal_hypotheses(t) or [frozenset(t.attributes)]
+    expected.sort(key=lambda h: family_key(t.positive._acodec.encode(h)))
+    for method in ("iterate", "oracle"):
+        assert minimal_hypotheses(t, method=method) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -274,6 +285,39 @@ def test_find_new_is_a_missing_minimal_hypothesis(t, pick):
         known.pop()
     h = find_new_min_h(t, known)
     assert h in complete and h not in known
+
+
+# -- the paper's equivalence: dualization is minimal-hypothesis enumeration ----------
+
+
+def downset_training(poset, fam_a) -> TrainingContext:
+    """Positive rows P minus down(p), whose intents are the upsets of P, and
+    one negative row P minus a per A-member a."""
+    elements = frozenset(poset.elements)
+    pos = FormalContext.from_intents(
+        [f"+{p}" for p in poset.elements], poset.elements,
+        [elements - poset.down_set(p) for p in poset.elements],
+    )
+    neg = FormalContext.from_intents(
+        [f"-{i}" for i in range(len(fam_a))], poset.elements, [elements - a for a in fam_a]
+    )
+    return TrainingContext(pos, neg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_dual_is_complements_of_minimal_hypotheses(rng):
+    poset = random_poset(rng, 10)
+    fam_a = random_antichain(rng, poset, 5)
+    elements = frozenset(poset.elements)
+    dual = set(map(frozenset, dualize_brute(fam_a, poset)))
+    minimal = minimal_hypotheses(downset_training(poset, fam_a), 0)
+    if fam_a == [frozenset()]:
+        # every downset holds the empty A-member, so the dual is empty, while
+        # the search answers {M} by convention
+        assert dual == set() and minimal == [elements]
+    else:
+        assert dual == {elements - h for h in minimal}
 
 
 # -- classification -----------------------------------------------------------------

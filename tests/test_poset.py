@@ -90,8 +90,11 @@ def test_from_pairs_matches_brute_closure(case):
     for k, i, j in itertools.product(range(n), repeat=3):
         leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
     named = [(names[i], names[j]) for i, j in pairs]
-    if any(leq[i][j] and leq[j][i] for i in range(n) for j in range(n) if i != j):
-        with pytest.raises(ValueError, match="cycle"):
+    cycles = [(i, j) for i in range(n) for j in range(i + 1, n) if leq[i][j] and leq[j][i]]
+    if cycles:
+        # the first element on a cycle, with the first later one on it
+        i, j = cycles[0]
+        with pytest.raises(ValueError, match=f"cycle detected through '{names[i]}' and '{names[j]}'$"):
             Poset.from_pairs(names, named)
         return
     p = Poset.from_pairs(names, named)
