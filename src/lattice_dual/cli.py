@@ -109,9 +109,10 @@ def _run_hypo(args) -> int:
     elif args.subverb == "classify":
         if args.intent is None:
             raise ValueError("classify needs --intent")
+        intent = _as_list(codec, _parse_set(args.intent))  # unknown names are input errors
         pos = hypo_mod.minimal_hypotheses(training, args.k)
         neg = hypo_mod.minimal_hypotheses(training.swapped(), args.k)
-        _emit({"classification": hypo_mod.classify(_parse_set(args.intent), pos, neg)})
+        _emit({"classification": hypo_mod.classify(intent, pos, neg)})
     elif args.subverb == "amh":
         if not args.hyps:
             raise ValueError("amh needs --hyps")
@@ -238,7 +239,7 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

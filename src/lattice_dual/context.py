@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .util import Codec, check_guard, transpose
 
 CONCEPTS_GUARD = 25
 
 
-class Concept(NamedTuple):
-    extent: frozenset
-    intent: frozenset
+Concept = namedtuple("Concept", "extent intent")
 
 
 class FormalContext:
@@ -65,13 +64,13 @@ class FormalContext:
         return cls(objects, attributes, matrix)
 
     def row(self, g: str) -> frozenset:
-        return self._acodec.members(self._rows[self._ocodec.index[g]])
+        return self._acodec.members(self._rows[self._ocodec.position(g)])
 
     def column(self, m: str) -> frozenset:
-        return self._ocodec.members(self._cols[self._acodec.index[m]])
+        return self._ocodec.members(self._cols[self._acodec.position(m)])
 
     def incident(self, g: str, m: str) -> bool:
-        return bool(self._rows[self._ocodec.index[g]] >> self._acodec.index[m] & 1)
+        return bool(self._rows[self._ocodec.position(g)] >> self._acodec.position(m) & 1)
 
     # -- derivation --------------------------------------------------
 
@@ -269,16 +268,25 @@ def parse_cxt(text: str) -> FormalContext:
         raise ValueError("malformed .cxt header: expected blank line before names")
     objects = [take() for _ in range(n_obj)]
     attributes = [take() for _ in range(n_att)]
-    matrix = []
+    rows = []
     for _ in range(n_obj):
         row = take()
-        if len(row) != n_att or any(ch not in "X." for ch in row):
+        mask = _row_mask(row, n_att)
+        if mask is None:
             raise ValueError(f"malformed .cxt incidence row: {row!r}")
-        matrix.append([ch == "X" for ch in row])
+        rows.append(mask)
     for rest in lines[pos:]:
         if rest.strip():
             raise ValueError("trailing content in .cxt file")
-    return FormalContext(objects, attributes, matrix)
+    return FormalContext._from_rows(objects, attributes, rows)
+
+
+def _row_mask(text, n: int) -> int | None:
+    """An X/. incidence row over n attributes as an attribute mask; None
+    unless text is a string of exactly n such characters."""
+    if not isinstance(text, str) or len(text) != n or text.strip("X."):
+        return None
+    return sum(1 << j for j, ch in enumerate(text) if ch == "X")
 
 
 def _row_text(row: int, n: int) -> str:

@@ -13,8 +13,7 @@ of the full recursion tree, repeated subproblems included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .poset import Poset
 from .util import bits, family_key, is_mask_antichain, maximal_masks, minimal_masks
@@ -25,18 +24,15 @@ from .util import bits, family_key, is_mask_antichain, maximal_masks, minimal_ma
 _THRESHOLD_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class DualityInstance:
+class DualityInstance(namedtuple("DualityInstance", "poset a b")):
     """A poset together with two antichains of its downsets."""
 
-    poset: Poset
-    a: tuple
-    b: tuple
+    __slots__ = ()
 
-    def __init__(self, poset: Poset, a, b):
+    def __new__(cls, poset: Poset, a, b):
         codec = poset._codec
         universe = (1 << len(poset)) - 1
-        object.__setattr__(self, "poset", poset)
+        families = []
         for fam, label in ((a, "A"), (b, "B")):
             masks = sorted(map(codec.encode, fam), key=family_key)
             for mask in masks:
@@ -44,7 +40,8 @@ class DualityInstance:
                     raise ValueError(f"{label}-member {codec.decode(mask)} is not a downset")
             if not is_mask_antichain(masks):
                 raise ValueError(f"family {label} is not an antichain")
-            object.__setattr__(self, label.lower(), tuple(map(codec.members, masks)))
+            families.append(tuple(map(codec.members, masks)))
+        return super().__new__(cls, poset, *families)
 
 
 def _masks(inst: DualityInstance) -> tuple:
@@ -79,10 +76,7 @@ def _is_downset(poset: Poset, universe: int, mask: int) -> bool:
     return not any(up[i] & mask for i in bits(outer))
 
 
-@dataclass(frozen=True)
-class DualityVerdict:
-    dual: bool
-    witness: Optional[frozenset] = None
+DualityVerdict = namedtuple("DualityVerdict", "dual witness", defaults=(None,))
 
 
 def check_star(inst: DualityInstance) -> bool:
@@ -195,7 +189,7 @@ def _counts(family, universe: int, elems) -> list:
     return [(packed & (ones << i)).bit_count() for i in elems]
 
 
-def _pivot(poset: Poset, universe: int, a: tuple, b: tuple) -> Optional[int]:
+def _pivot(poset: Poset, universe: int, a: tuple, b: tuple) -> int | None:
     """The pivot index of a subproblem with A and B nonempty, or None when
     the frequency bounds prove it not dual.
 

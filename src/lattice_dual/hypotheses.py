@@ -2,28 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
-from .context import CONCEPTS_GUARD, FormalContext, _row_text, closed_masks
+from .context import CONCEPTS_GUARD, FormalContext, _row_mask, _row_text, closed_masks
 from .util import check_guard
 
 
-@dataclass(frozen=True)
-class TrainingContext:
+class TrainingContext(namedtuple("TrainingContext", "positive negative")):
     """Positive and negative contexts over one shared attribute list."""
 
-    positive: FormalContext
-    negative: FormalContext
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.positive.attributes != self.negative.attributes:
+    def __new__(cls, positive: FormalContext, negative: FormalContext):
+        if positive.attributes != negative.attributes:
             raise ValueError(
                 "positive and negative contexts must share the same attribute list"
             )
-        overlap = set(self.positive.objects) & set(self.negative.objects)
+        overlap = set(positive.objects) & set(negative.objects)
         if overlap:
             raise ValueError(f"object names shared between sides: {sorted(overlap)}")
+        return super().__new__(cls, positive, negative)
 
     @property
     def attributes(self) -> tuple:
@@ -185,18 +184,13 @@ def training_from_json(doc: dict) -> TrainingContext:
             raise ValueError(
                 'training JSON "positive" and "negative" must map object names to rows'
             )
-        objects = list(rows)
-        matrix = []
-        for g in objects:
-            row = rows[g]
-            if (
-                not isinstance(row, str)
-                or len(row) != len(attributes)
-                or any(ch not in "X." for ch in row)
-            ):
+        masks = []
+        for g, row in rows.items():
+            mask = _row_mask(row, len(attributes))
+            if mask is None:
                 raise ValueError(f"malformed incidence row for {g!r}: {row!r}")
-            matrix.append([ch == "X" for ch in row])
-        return FormalContext(objects, attributes, matrix)
+            masks.append(mask)
+        return FormalContext._from_rows(list(rows), attributes, masks)
 
     return TrainingContext(build(pos_rows), build(neg_rows))
 

@@ -3,8 +3,8 @@ contraordinal bridge between posets and contexts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .context import FormalContext, closed_masks
 from .poset import Poset
@@ -13,14 +13,11 @@ from .util import Codec, check_guard, is_mask_antichain
 IS_BASE_GUARD = 18
 
 
-@dataclass(frozen=True)
-class Implication:
-    premise: frozenset
-    conclusion: frozenset
+class Implication(namedtuple("Implication", "premise conclusion")):
+    __slots__ = ()
 
-    def __init__(self, premise: Iterable[str], conclusion: Iterable[str]):
-        object.__setattr__(self, "premise", frozenset(premise))
-        object.__setattr__(self, "conclusion", frozenset(conclusion))
+    def __new__(cls, premise: Iterable[str], conclusion: Iterable[str]):
+        return super().__new__(cls, frozenset(premise), frozenset(conclusion))
 
 
 def imp_closure(imps: Iterable[Implication], xs: Iterable[str]) -> frozenset:

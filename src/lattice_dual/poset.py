@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable
+from collections.abc import Iterable
 
 from .util import Codec, bits, check_guard, transpose
 
@@ -254,6 +253,8 @@ def poset_from_pairs(names, pairs) -> Poset:
 
 def freq(family, p) -> Fraction:
     """Fraction of family members containing p, as an exact rational."""
+    from fractions import Fraction
+
     family = list(family)
     if not family:
         raise ValueError("frequency undefined for an empty family")
@@ -262,6 +263,8 @@ def freq(family, p) -> Fraction:
 
 def freq_complement(family, poset: Poset, p) -> Fraction:
     """Fraction of family members NOT containing p."""
+    from fractions import Fraction
+
     family = list(family)
     if not family:
         raise ValueError("frequency undefined for an empty family")

@@ -4,8 +4,8 @@ the product-of-lattices context."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .context import FormalContext
 from .hypotheses import TrainingContext, is_hypothesis
@@ -16,14 +16,12 @@ from .util import bits, is_mask_antichain, maximal_masks
 # -- CNF and DIMACS ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cnf:
+class Cnf(namedtuple("Cnf", "num_vars clauses")):
     """Clauses as lists of nonzero signed variable indices."""
 
-    num_vars: int
-    clauses: tuple = field(default=())
+    __slots__ = ()
 
-    def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]):
+    def __new__(cls, num_vars: int, clauses: Iterable[Iterable[int]]):
         clauses = tuple(tuple(c) for c in clauses)
         if num_vars < 0:
             raise ValueError("variable count must be nonnegative")
@@ -31,8 +29,7 @@ class Cnf:
             for lit in clause:
                 if lit == 0 or abs(lit) > num_vars:
                     raise ValueError(f"literal {lit} out of range for n={num_vars}")
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "clauses", clauses)
+        return super().__new__(cls, num_vars, clauses)
 
 
 def parse_dimacs(text: str) -> Cnf:

@@ -102,6 +102,16 @@ def test_hypo_classify(capsys, worked_files):
     assert json.loads(out) == {"classification": "positive"}
 
 
+def test_hypo_classify_unknown_attribute_exit_2(capsys, worked_files):
+    pos, neg = worked_files
+    code, out, err = run_cli(
+        capsys, "hypo", "classify", "--pos", pos, "--neg", neg, "--intent", "m1,zz",
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown attribute name: 'zz'" in err
+
+
 def test_hypo_amh_all_known_false(capsys, worked_files, tmp_path):
     pos, neg = worked_files
     hyps = tmp_path / "hyps.json"

@@ -16,7 +16,7 @@ from lattice_dual import (
     write_cxt,
 )
 
-from lattice_dual.context import closed_masks
+from lattice_dual.context import _row_mask, closed_masks
 
 from conftest import random_context
 
@@ -338,8 +338,22 @@ def test_duplicate_attribute_names_rejected():
 
 
 def test_intent_with_unknown_attribute_rejected():
-    with pytest.raises((ValueError, KeyError)):
+    with pytest.raises(ValueError):
         FormalContext.from_intents(["g1"], ["m1"], [{"m9"}])
+
+
+def test_row_column_incident_reject_unknown_names():
+    c3 = contranominal_scale(3)
+    with pytest.raises(ValueError, match="unknown object name: 'zz'"):
+        c3.row("zz")
+    with pytest.raises(ValueError, match="unknown attribute name: 'zz'"):
+        c3.column("zz")
+    with pytest.raises(ValueError, match="unknown object name: 'zz'"):
+        c3.incident("zz", "m1")
+    with pytest.raises(ValueError, match="unknown attribute name: 'zz'"):
+        c3.incident("g1", "zz")
+    assert c3.column("m1") == frozenset({"g2", "g3"})
+    assert c3.incident("g1", "m2") and not c3.incident("g1", "m1")
 
 
 # -- Burmeister .cxt I/O -------------------------------------------------
@@ -368,6 +382,13 @@ def test_cxt_rejects_bad_header():
 def test_cxt_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         parse_cxt("B\n\n2\n2\n\ng1\ng2\nm1\nm2\n.X\n")
+
+
+def test_row_mask_reads_x_dot_rows_only():
+    assert _row_mask("X.X", 3) == 0b101
+    assert _row_mask("", 0) == 0
+    for text, n in (("X?X", 3), (" X", 2), ("XX", 3), (["X"], 1), (1, 1), (None, 0)):
+        assert _row_mask(text, n) is None
 
 
 def test_cxt_rejects_bad_incidence_char():

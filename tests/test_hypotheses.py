@@ -157,12 +157,17 @@ def test_no_negatives_bottom_intent_is_sole_minimal():
 
 
 def test_minimal_methods_agree():
+    # Contexts this size often have several minimal hypotheses (11 of these
+    # 40 draws have 2 to 4), so a search that drops a member shows here.
     rng = random.Random(101)
+    several = 0
     for _ in range(40):
-        t = random_training(rng, max_side=4, max_attrs=5)
+        t = random_training(rng, max_side=8, max_attrs=8)
         expected = set(genuine_minimal_hypotheses(t) or [frozenset(t.attributes)])
+        several += len(expected) >= 2
         for method in ("oracle", "iterate"):
             assert set(minimal_hypotheses(t, method=method)) == expected
+    assert several >= 8
 
 
 def test_minimal_rejects_unknown_method(worked_training):
