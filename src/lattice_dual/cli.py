@@ -13,12 +13,6 @@ import argparse
 import json
 import sys
 
-from . import context as ctx_mod
-from . import duality as dual_mod
-from . import hypotheses as hypo_mod
-from . import implications as imp_mod
-from . import poset as poset_mod
-from . import reductions as red_mod
 from .util import GuardExceeded, family_key
 
 
@@ -54,16 +48,20 @@ def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc) + "\n")
 
 
-def _load_context(path: str) -> ctx_mod.FormalContext:
-    return ctx_mod.parse_cxt(_read(path))
+def _load_context(path: str):
+    from .context import parse_cxt
+
+    return parse_cxt(_read(path))
 
 
-def _load_training(args) -> hypo_mod.TrainingContext:
+def _load_training(args):
+    from .hypotheses import TrainingContext, training_from_json
+
     if getattr(args, "train", None):
-        return hypo_mod.training_from_json(_read_json(args.train))
+        return training_from_json(_read_json(args.train))
     if not (args.pos and args.neg):
         raise ValueError("provide either --train or both --pos and --neg")
-    return hypo_mod.TrainingContext(_load_context(args.pos), _load_context(args.neg))
+    return TrainingContext(_load_context(args.pos), _load_context(args.neg))
 
 
 def _as_list(codec, names) -> list:
@@ -77,9 +75,12 @@ def _family(codec, family) -> list:
 
 
 # -- verb handlers -----------------------------------------------------
+# Each handler imports the layers its verb runs, so a call loads no other.
 
 
 def _run_ctx(args) -> int:
+    from .context import reduce_context, write_cxt
+
     ctx = _load_context(args.context)
     if args.subverb == "concepts":
         _emit(
@@ -92,7 +93,7 @@ def _run_ctx(args) -> int:
             ]
         )
     elif args.subverb == "reduce":
-        _emit({"cxt": ctx_mod.write_cxt(ctx_mod.reduce_context(ctx))})
+        _emit({"cxt": write_cxt(reduce_context(ctx))})
     elif args.subverb == "close":
         closed = ctx.close_attributes(_parse_set(args.set))
         _emit(_as_list(ctx._acodec, closed))
@@ -100,24 +101,26 @@ def _run_ctx(args) -> int:
 
 
 def _run_hypo(args) -> int:
+    from .hypotheses import classify, decide_amh, enumerate_hypotheses, minimal_hypotheses
+
     training = _load_training(args)
     codec = training.positive._acodec
     if args.subverb == "minimal":
-        _emit(_family(codec, hypo_mod.minimal_hypotheses(training, args.k)))
+        _emit(_family(codec, minimal_hypotheses(training, args.k)))
     elif args.subverb == "all":
-        _emit(_family(codec, hypo_mod.enumerate_hypotheses(training, args.k)))
+        _emit(_family(codec, enumerate_hypotheses(training, args.k)))
     elif args.subverb == "classify":
         if args.intent is None:
             raise ValueError("classify needs --intent")
         intent = _as_list(codec, _parse_set(args.intent))  # unknown names are input errors
-        pos = hypo_mod.minimal_hypotheses(training, args.k)
-        neg = hypo_mod.minimal_hypotheses(training.swapped(), args.k)
-        _emit({"classification": hypo_mod.classify(intent, pos, neg)})
+        pos = minimal_hypotheses(training, args.k)
+        neg = minimal_hypotheses(training.swapped(), args.k)
+        _emit({"classification": classify(intent, pos, neg)})
     elif args.subverb == "amh":
         if not args.hyps:
             raise ValueError("amh needs --hyps")
         known = _read_family(args.hyps)
-        answer = hypo_mod.decide_amh(training, known)
+        answer = decide_amh(training, known)
         _emit({"additional": answer})
         if args.strict_exit and not answer:
             return 1
@@ -125,22 +128,25 @@ def _run_hypo(args) -> int:
 
 
 def _run_dual(args) -> int:
-    poset = poset_mod.poset_from_json(_read_json(args.poset))
-    fam_a = poset_mod.family_from_json(_read_json(args.a), poset)
+    from .duality import DualityInstance, brute_force_dual, dualize_brute, test_duality_stats
+    from .poset import family_from_json, poset_from_json
+
+    poset = poset_from_json(_read_json(args.poset))
+    fam_a = family_from_json(_read_json(args.a), poset)
     if args.subverb == "dualize":
-        _emit(_family(poset._codec, dual_mod.dualize_brute(fam_a, poset)))
+        _emit(_family(poset._codec, dualize_brute(fam_a, poset)))
         return 0
     if not args.b:
         raise ValueError(f"{args.subverb} needs --b")
-    fam_b = poset_mod.family_from_json(_read_json(args.b), poset)
-    inst = dual_mod.DualityInstance(poset, fam_a, fam_b)
+    fam_b = family_from_json(_read_json(args.b), poset)
+    inst = DualityInstance(poset, fam_a, fam_b)
     if args.subverb == "brute" or args.oracle:
-        verdict = dual_mod.brute_force_dual(inst)
+        verdict = brute_force_dual(inst)
         witness = None if verdict.witness is None else _as_list(poset._codec, verdict.witness)
         _emit({"dual": verdict.dual, "witness": witness, "recursive_calls": 0})
         answer = verdict.dual
     else:
-        answer, calls = dual_mod.test_duality_stats(inst)
+        answer, calls = test_duality_stats(inst)
         _emit({"dual": answer, "witness": None, "recursive_calls": calls})
     if args.strict_exit and not answer:
         return 1
@@ -148,13 +154,18 @@ def _run_dual(args) -> int:
 
 
 def _run_reduce(args) -> int:
+    from .context import write_cxt
+    from .hypotheses import training_to_json
+    from .implications import dci_to_mibr, implications_from_json, implications_to_json
+    from .reductions import parse_dimacs, sat_to_amh
+
     if args.subverb == "sat2amh":
         if not args.cnf:
             raise ValueError("sat2amh needs --cnf")
-        cnf = red_mod.parse_dimacs(_read(args.cnf))
-        training, known = red_mod.sat_to_amh(cnf)
+        cnf = parse_dimacs(_read(args.cnf))
+        training, known = sat_to_amh(cnf)
         doc = {
-            "training": hypo_mod.training_to_json(training),
+            "training": training_to_json(training),
             "minimal_hypotheses": _family(training.positive._acodec, known),
         }
         _emit(doc)
@@ -164,12 +175,12 @@ def _run_reduce(args) -> int:
         ctx = _load_context(args.context)
         fam_a = _read_family(args.a)
         fam_b = _read_family(args.b)
-        base = imp_mod.implications_from_json(_read_json(args.base))
-        built, extended = imp_mod.dci_to_mibr(ctx, fam_a, fam_b, base)
+        base = implications_from_json(_read_json(args.base))
+        built, extended = dci_to_mibr(ctx, fam_a, fam_b, base)
         _emit(
             {
-                "context_cxt": ctx_mod.write_cxt(built),
-                "implications": imp_mod.implications_to_json(extended, ctx.attributes),
+                "context_cxt": write_cxt(built),
+                "implications": implications_to_json(extended, ctx.attributes),
             }
         )
     return 0

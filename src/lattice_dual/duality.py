@@ -132,7 +132,9 @@ def _split(poset: Poset, universe: int, a: tuple, b: tuple, p: int) -> tuple:
 
     The first lives on U minus down(p), the second on U minus up(p).  Raw
     families are normalized back to antichains (minimal members on the
-    A-side, maximal on the B-side).
+    A-side, maximal on the B-side), except the first B: each of its members
+    is a downset containing p, so it contains down(p), and removing down(p)
+    keeps B's members distinct, incomparable and in sorted order.
     """
     below = poset._down[p] & universe
     above = poset._up[p] & universe
@@ -140,7 +142,7 @@ def _split(poset: Poset, universe: int, a: tuple, b: tuple, p: int) -> tuple:
     first = (
         universe & ~below,
         minimal_masks([x & ~below for x in a]),
-        maximal_masks([y & ~below for y in b if y & bit]),
+        tuple(y & ~below for y in b if y & bit),
     )
     second = (
         universe & ~above,

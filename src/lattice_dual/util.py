@@ -21,10 +21,12 @@ def guard_limit(default: int) -> int:
     raw = os.environ.get(GUARD_ENV)
     if raw is None:
         return default
-    limit = int(raw)
-    if limit < 0:
-        raise ValueError(f"{GUARD_ENV} must be a non-negative integer, got {raw!r}")
-    return limit
+    try:
+        if (limit := int(raw)) >= 0:
+            return limit
+    except ValueError:
+        pass
+    raise ValueError(f"{GUARD_ENV} must be a non-negative integer, got {raw!r}")
 
 
 def check_guard(size: int, default: int, what: str) -> None:

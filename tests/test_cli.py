@@ -294,6 +294,15 @@ def test_negative_guard_exit_2(capsys, tmp_path, monkeypatch):
     assert "LATTICE_DUAL_GUARD" in err
 
 
+def test_non_integer_guard_exit_2(capsys, tmp_path, monkeypatch):
+    poset, a, b = write_poset_inputs(tmp_path, ["p1", "p2"], [], [["p1"]], [[]])
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "abc")
+    code, out, err = run_cli(capsys, "dual", "brute", "--poset", poset, "--a", a, "--b", b)
+    assert code == 2
+    assert out == ""
+    assert err == "error: LATTICE_DUAL_GUARD must be a non-negative integer, got 'abc'\n"
+
+
 # -- reduce verbs ---------------------------------------------------------------
 
 

@@ -19,6 +19,8 @@ from lattice_dual import (
 )
 from lattice_dual import test_duality as duality_test
 from lattice_dual import test_duality_stats as duality_test_stats
+from lattice_dual.duality import _masks, _split
+from lattice_dual.util import bits, maximal_masks
 
 from conftest import matching_instance, planted_instance, random_instance, random_poset
 
@@ -322,3 +324,23 @@ def test_duality_agrees_with_oracle_on_planted(inst):
 @given(matching_or_near())
 def test_duality_agrees_with_oracle_on_matching(inst):
     assert duality_test(inst) == brute_force_dual(inst).dual
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_or_near())
+def test_split_first_b_is_already_maximal(inst):
+    """The first half's B is taken unnormalized: at every element of every
+    subproblem reached by splitting, it equals its maximal members."""
+    poset = inst.poset
+    todo, seen = [_masks(inst)], set()
+    while todo and len(seen) < 100:
+        node = todo.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        universe, a, b = node
+        for p in bits(universe):
+            below = poset._down[p] & universe
+            first, second = _split(poset, universe, a, b, p)
+            assert first[2] == maximal_masks([y & ~below for y in b if y >> p & 1])
+            todo += [first, second]

@@ -192,6 +192,15 @@ def test_guard_env_rejects_negative(monkeypatch):
         chain(3).all_downsets()
 
 
+@pytest.mark.parametrize("raw", ["abc", "2.5", ""])
+def test_guard_env_rejects_non_integer(monkeypatch, raw):
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", raw)
+    message = f"LATTICE_DUAL_GUARD must be a non-negative integer, got {raw!r}"
+    with pytest.raises(ValueError) as info:
+        chain(3).all_downsets()
+    assert str(info.value) == message
+
+
 def test_all_downsets_no_duplicates():
     rng = random.Random(47)
     for _ in range(20):
