@@ -8,6 +8,7 @@ from collections.abc import Iterable
 from .util import Codec, check_guard, transpose
 
 CONCEPTS_GUARD = 25
+_DIMENSIONS = "incidence dimensions do not match object/attribute counts"
 
 
 Concept = namedtuple("Concept", "extent intent")
@@ -27,7 +28,7 @@ class FormalContext:
         ocodec, acodec = Codec(objects, "object"), Codec(attributes, "attribute")
         matrix = [list(row) for row in incidence]
         if len(matrix) != len(ocodec.names) or any(len(r) != len(acodec.names) for r in matrix):
-            raise ValueError("incidence dimensions do not match object/attribute counts")
+            raise ValueError(_DIMENSIONS)
         rows = []
         for r in matrix:
             mask = 0
@@ -55,13 +56,18 @@ class FormalContext:
         """Build from one attribute set per object (in `objects` order)."""
         attributes = tuple(attributes)
         aset = set(attributes)
-        matrix = []
+        sets = []
         for it in intents:
             it = set(it)
             if not it <= aset:
                 raise ValueError(f"unknown attributes in intent: {sorted(it - aset)}")
-            matrix.append([m in it for m in attributes])
-        return cls(objects, attributes, matrix)
+            sets.append(it)
+        ocodec, acodec = Codec(objects, "object"), Codec(attributes, "attribute")
+        if len(sets) != len(ocodec.names):
+            raise ValueError(_DIMENSIONS)
+        ctx = cls.__new__(cls)
+        ctx._store(ocodec, acodec, [acodec.encode(it) for it in sets])
+        return ctx
 
     def row(self, g: str) -> frozenset:
         return self._acodec.members(self._rows[self._ocodec.position(g)])
@@ -106,12 +112,26 @@ class FormalContext:
     def _extent_step(self):
         """Close-by-One's step and start for this context, carrying each
         intent's extent: a child's extent is its parent's AND one column,
-        and its intent is the AND of the rows of that extent."""
-        rows, cols, n = self._rows, self._cols, len(self._cols)
+        and its intent is the AND of the rows of that extent.
 
-        def extend(extent, _b, j):
+        The intent of a child that fails the canonicity test (it adds an
+        attribute below j outside b) is kept, by extent, for the rest of
+        the enumeration: the same extent turns up again as a child of later
+        closed sets, and then reuses it instead of ANDing rows.  Canonical
+        children are not kept, since their extents seldom repeat; so the
+        memo holds at most one intent per concept.
+        """
+        rows, cols, n = self._rows, self._cols, len(self._cols)
+        failed = {}
+
+        def extend(extent, b, j):
             extent &= cols[j]
-            return _meet(rows, n, extent), extent
+            c = failed.get(extent)
+            if c is None:
+                c = _meet(rows, n, extent)
+                if c & ~b & ((1 << j) - 1):
+                    failed[extent] = c
+            return c, extent
 
         everything = (1 << len(rows)) - 1
         return extend, (_meet(rows, n, everything), everything)

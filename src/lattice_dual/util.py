@@ -9,6 +9,7 @@ antichains by the helpers below.
 
 import os
 from bisect import bisect_right
+from itertools import compress, count
 
 GUARD_ENV = "LATTICE_DUAL_GUARD"
 
@@ -38,21 +39,34 @@ def check_guard(size: int, default: int, what: str) -> None:
 # -- masks and names ---------------------------------------------------
 
 
+_BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _selector(mask: int) -> bytes:
+    """One byte per bit of a non-negative mask, lowest bit first: 1 where the
+    bit is set, 0 where it is not (a single 0 for the empty mask).  Passed
+    to `itertools.compress`, it picks the members of a mask without a
+    Python step per bit."""
+    return bin(mask)[:1:-1].encode().translate(_BYTE_OF_DIGIT)
+
+
 def bits(mask: int) -> list:
     """Indices of the set bits of a mask, ascending.
 
-    A sparse mask is walked one low bit at a time; a dense one is read off
-    its binary string, which costs one step per bit of its length plus a
-    start-up cost that the walk does not pay.
+    A sparse mask is walked one low bit at a time; a dense one goes through
+    the byte selector, whose C loop costs a little per bit of the mask's
+    length plus a start-up cost that the walk does not pay.  The walk is
+    the faster up to about one set bit in nine of the length: 12 set bits
+    at 64 bits, 38 at 300 (Python 3.11).
     """
-    if mask.bit_count() * 4 <= mask.bit_length() + 24:
+    if mask.bit_count() * 9 <= mask.bit_length() + 45:
         out = []
         while mask:
             low = mask & -mask
             out.append(low.bit_length() - 1)
             mask ^= low
         return out
-    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+    return list(compress(count(), _selector(mask)))
 
 
 def transpose(masks, n: int) -> list:
@@ -96,12 +110,14 @@ class Codec:
         return mask
 
     def decode(self, mask: int) -> list:
-        """The names of the set bits, in universe order."""
-        return list(map(self.names.__getitem__, bits(mask)))
+        """The names of the set bits, in universe order; bits beyond the
+        universe are dropped."""
+        return list(compress(self.names, _selector(mask)))
 
     def members(self, mask: int) -> frozenset:
-        """The names of the set bits, as a set."""
-        return frozenset(map(self.names.__getitem__, bits(mask)))
+        """The names of the set bits, as a set; bits beyond the universe
+        are dropped."""
+        return frozenset(compress(self.names, _selector(mask)))
 
     def family(self, masks) -> list:
         """Masks as name sets, in the family order."""

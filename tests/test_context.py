@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,17 @@ from hypothesis import strategies as st
 from lattice_dual import (
     FormalContext,
     GuardExceeded,
+    contraordinal_context,
     contranominal_scale,
     parse_cxt,
     reduce_context,
     write_cxt,
 )
 
+from lattice_dual import context
 from lattice_dual.context import _row_mask, closed_masks
 
-from conftest import random_context
+from conftest import random_context, random_poset
 
 
 def ctx_equal(a: FormalContext, b: FormalContext) -> bool:
@@ -249,6 +253,49 @@ def test_closed_masks_prune_cuts_only_below(shape, cut):
             assert b in pruned
 
 
+def row_passes(ctx) -> Counter:
+    """How often each extent has its intent computed (a pass over the rows
+    of the extent) while `intent_masks()` runs."""
+    passes = Counter()
+    meet = context._meet
+
+    def recording(vectors, n, mask):
+        if vectors is ctx._rows:
+            passes[mask] += 1
+        return meet(vectors, n, mask)
+
+    with mock.patch.object(context, "_meet", recording):
+        got = ctx.intent_masks()
+    assert got == [ctx._close_amask(b) for b in got]
+    return passes
+
+
+def test_row_passes_at_most_twice_per_extent_on_contraordinal_contexts():
+    # the intents of a contraordinal context are the downsets of the poset
+    # (the distributive case), reached from many parents: an extent's intent
+    # is computed once canonically and once when a child with it first fails
+    rng = random.Random(37)
+    for _ in range(8):
+        ctx = contraordinal_context(random_poset(rng, 14, min_n=10))
+        passes = row_passes(ctx)
+        assert max(passes.values()) <= 2
+        assert len(passes) == len(ctx.intent_masks())
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_contexts())
+def test_row_passes_at_most_twice_per_extent(shape):
+    _n, ctx = shape
+    assert max(row_passes(ctx).values()) <= 2
+
+
+def test_row_passes_once_per_extent_on_a_boolean_lattice():
+    # no child of the contranominal scale fails, so nothing is kept or reused
+    for n in range(1, 9):
+        passes = row_passes(contranominal_scale(n))
+        assert set(passes.values()) == {1} and len(passes) == 2**n
+
+
 def test_contranominal_all_subsets_closed_exhaustive():
     for n in range(1, 6):
         ctx = contranominal_scale(n)
@@ -340,6 +387,30 @@ def test_duplicate_attribute_names_rejected():
 def test_intent_with_unknown_attribute_rejected():
     with pytest.raises(ValueError):
         FormalContext.from_intents(["g1"], ["m1"], [{"m9"}])
+
+
+def test_from_intents_error_order():
+    # an unknown attribute wins over repeated names, which win over a wrong
+    # number of intents; repeated object names are reported before
+    # repeated attribute names
+    cases = [
+        (["g1", "g1"], ["m1", "m1"], [{"m9"}], "unknown attributes in intent: \\['m9'\\]"),
+        (["g1", "g1"], ["m1", "m1"], [{"m1"}], "object names must be pairwise distinct"),
+        (["g1", "g2"], ["m1", "m1"], [{"m1"}], "attribute names must be pairwise distinct"),
+        (["g1", "g2"], ["m1", "m2"], [{"m1"}], "incidence dimensions do not match"),
+        (["g1"], ["m1", "m2"], [{"m1"}, set()], "incidence dimensions do not match"),
+    ]
+    for objects, attributes, intents, message in cases:
+        with pytest.raises(ValueError, match=message):
+            FormalContext.from_intents(objects, attributes, intents)
+
+
+def test_from_intents_matches_the_incidence_matrix():
+    rng = random.Random(41)
+    for _ in range(20):
+        ctx = random_context(rng, 6, 6)
+        matrix = [[ctx.incident(g, m) for m in ctx.attributes] for g in ctx.objects]
+        assert ctx == FormalContext(ctx.objects, ctx.attributes, matrix)
 
 
 def test_row_column_incident_reject_unknown_names():

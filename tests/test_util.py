@@ -2,7 +2,7 @@
 antichain helpers."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lattice_dual import is_antichain, maximal_members, minimal_members
@@ -29,6 +29,13 @@ def index_sets(draw, max_n=300):
 
 
 @given(index_sets())
+# either side of where `bits` stops walking: 12 | 13 set bits at 64 bits,
+# 38 | 39 at 300
+@example(set(range(11)) | {63})
+@example(set(range(12)) | {63})
+@example(set(range(37)) | {299})
+@example(set(range(38)) | {299})
+@example(set())
 def test_bits_are_the_sorted_indices(picked):
     assert bits(sum(1 << i for i in picked)) == sorted(picked)
 
@@ -41,6 +48,13 @@ def test_decode_inverts_encode(picked):
     assert UNIVERSE.members(mask) == names
     assert UNIVERSE.decode(mask) == [UNIVERSE.names[i] for i in sorted(picked)]
     assert UNIVERSE.encode(UNIVERSE.decode(mask)) == mask
+
+
+def test_decode_drops_bits_beyond_the_universe():
+    codec = Codec(["a", "b"], "element")
+    assert codec.members(0b1110) == frozenset({"b"})
+    assert codec.decode(0b1111) == ["a", "b"]
+    assert codec.decode(0) == [] and codec.members(0) == frozenset()
 
 
 def test_codec_rejects_unknown_and_repeated_names():
