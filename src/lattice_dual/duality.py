@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import reduce
+from operator import and_, or_
 
 from .poset import Poset
 from .util import bits, family_key, is_mask_antichain, maximal_masks, minimal_masks
@@ -168,13 +170,23 @@ def decompose(inst: DualityInstance, p: str):
 
 
 def _check(poset: Poset, universe: int, a: tuple, b: tuple, depth: int) -> None:
-    """Invariants every subproblem must meet; a failure is a bug here."""
+    """Invariants every subproblem must meet; a failure is a bug here.
+
+    Each member must lie in U, be a downset of it and belong to an
+    antichain.  When no element of U is above another element of the poset,
+    every subset of U is a downset, so only containment in U is tested.
+    """
     if depth < 0:
         raise RuntimeError("duality recursion guard exceeded (normalization bug)")
     if any(x & ~y == 0 for x in a for y in b):
         raise RuntimeError("subproblem lost property (*) (normalization bug)")
+    ordered = universe & poset._nonmin
     for fam in (a, b):
-        if not all(_is_downset(poset, universe, m) for m in fam) or not is_mask_antichain(fam):
+        if ordered:
+            downsets = all(_is_downset(poset, universe, m) for m in fam)
+        else:
+            downsets = not any(m & ~universe for m in fam)
+        if not downsets or not is_mask_antichain(fam):
             raise RuntimeError("subproblem family is not an antichain of downsets (normalization bug)")
 
 
@@ -200,13 +212,26 @@ def _pivot(poset: Poset, universe: int, a: tuple, b: tuple) -> int | None:
     max(|A-members containing e| / |A|, |B-members missing e| / |B|),
     compared exactly as integers.  Ties go to the first element in
     declaration order.
+
+    Only elements comparable to some other element of the poset are
+    scored: every other one scores 2, the least possible, so the first
+    element of U attains m = 2.  An element in every A-member or in no
+    B-member has frequency 1, the highest; when there is one, the first
+    such is the pivot, and neither bound can reject since m * log_n >= 4.8
+    (m >= 2, |A| + |B| >= 2).  Only otherwise are the members counted.
     """
     down, up = poset._down, poset._up
+    m, best = 2, universe & -universe
+    for i in bits(universe & (poset._nonmin | poset._nonmax)):
+        score = (down[i] & universe).bit_count() + (up[i] & universe).bit_count()
+        if score > m:
+            m, best = score, 1 << i
+    if m**3 > universe.bit_count():
+        return best.bit_length() - 1
+    full = universe & (reduce(and_, a) | ~reduce(or_, b))
+    if full:
+        return (full & -full).bit_length() - 1
     elems = bits(universe)
-    scores = [(down[i] & universe).bit_count() + (up[i] & universe).bit_count() for i in elems]
-    m = max(scores)
-    if m**3 > len(elems):
-        return elems[scores.index(m)]
     na, nb = len(a), len(b)
     log_n = math.log(na + nb) / math.log(4 / 3)
     in_a = _counts(a, universe, elems)

@@ -8,7 +8,7 @@ antichains by the helpers below.
 """
 
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import compress, count
 
 GUARD_ENV = "LATTICE_DUAL_GUARD"
@@ -134,10 +134,11 @@ def is_mask_antichain(family) -> bool:
     if len(set(family)) != len(family):
         return False
     # Distinct members of equal size are incomparable, so each member is
-    # tested only against strictly larger ones.
+    # tested only against strictly larger ones: those of the largest size
+    # need no test.
     by_size = sorted(family, key=int.bit_count)
     sizes = [s.bit_count() for s in by_size]
-    for s, size in zip(by_size, sizes):
+    for s, size in zip(by_size, sizes[: bisect_left(sizes, sizes[-1])]):
         larger = by_size[bisect_right(sizes, size):]
         if any(s & ~t == 0 for t in larger):
             return False
@@ -146,8 +147,11 @@ def is_mask_antichain(family) -> bool:
 
 def minimal_masks(family) -> tuple:
     """Subset-minimal masks, deduplicated, as a sorted tuple."""
+    family = set(family)
+    if 0 in family:
+        return (0,)
     out = []
-    for s in sorted(set(family), key=int.bit_count):
+    for s in sorted(family, key=int.bit_count):
         if all(t & ~s for t in out):
             out.append(s)
     return tuple(sorted(out))

@@ -1,6 +1,8 @@
 """Duality of antichains of downsets: oracle, decomposition, recursive test."""
 
+import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,12 +16,13 @@ from lattice_dual import (
     dualize_brute,
     easy_test,
     is_antichain,
+    maximal_members,
     minimal_members,
     poset_from_pairs,
 )
 from lattice_dual import test_duality as duality_test
 from lattice_dual import test_duality_stats as duality_test_stats
-from lattice_dual.duality import _masks, _split
+from lattice_dual.duality import _THRESHOLD_SLACK, _check, _counts, _masks, _pivot, _split
 from lattice_dual.util import bits, maximal_masks
 
 from conftest import matching_instance, planted_instance, random_instance, random_poset
@@ -232,6 +235,11 @@ def test_duality_stats_matching_k6_node_count():
     assert duality_test_stats(DualityInstance(poset, fam_a, fam_b)) == (True, 1673)
 
 
+def test_duality_stats_matching_k9_node_count():
+    poset, fam_a, fam_b = matching_instance(9)
+    assert duality_test_stats(DualityInstance(poset, fam_a, fam_b)) == (True, 30503)
+
+
 def test_duality_stats_trivial_antichain_node_count():
     poset = poset_from_pairs([f"p{i}" for i in range(1, 101)], [])
     inst = DualityInstance(poset, [{e} for e in poset.elements], [set()])
@@ -278,6 +286,37 @@ def test_dualize_lists_members_in_family_order():
     assert dual == [d for d in poset.all_downsets() if d in set(dual)]
     assert dual == [frozenset({"z", "y"}), frozenset({"b", "a"})]
     assert sorted(dual, key=sorted) != dual
+
+
+# -- invariants of every subproblem ------------------------------------------------
+
+FLAT5 = poset_from_pairs([f"p{i}" for i in range(1, 6)], [])
+
+
+@pytest.mark.parametrize(
+    "poset, universe, a, b, depth, message",
+    [
+        # a member outside U, where U is flat and where it is ordered
+        (FLAT5, 0b00011, (0b00100,), (0b00001,), 5, "antichain of downsets"),
+        (CHAIN3, 0b011, (0b100,), (0b001,), 5, "antichain of downsets"),
+        # p2 without p1 below it
+        (CHAIN3, 0b111, (0b010,), (0b001,), 5, "antichain of downsets"),
+        # p1 within {p1, p2}, both below the size of the top member
+        (FLAT5, 0b11111, (0b00001, 0b00011, 0b11100), (), 5, "antichain of downsets"),
+        # a repeated member where every member has one size
+        (FLAT5, 0b11111, (0b00011, 0b00011), (0b10000,), 5, "antichain of downsets"),
+        (ANTI2, 0b11, (0b01,), (0b11,), 5, r"property \(\*\)"),
+        (ANTI2, 0b11, (0b01,), (0b10,), -1, "recursion guard"),
+    ],
+)
+def test_check_rejects_bad_subproblems(poset, universe, a, b, depth, message):
+    with pytest.raises(RuntimeError, match=message):
+        _check(poset, universe, a, b, depth)
+
+
+def test_check_accepts_a_good_subproblem():
+    _check(FLAT5, 0b11111, (0b00011, 0b11100), (0b10101, 0b01010), 0)
+    _check(CHAIN3, 0b110, (0b010,), (0b000,), 0)
 
 
 # -- property-based agreement with the oracle -------------------------------------
@@ -344,3 +383,69 @@ def test_split_first_b_is_already_maximal(inst):
             first, second = _split(poset, universe, a, b, p)
             assert first[2] == maximal_masks([y & ~below for y in b if y >> p & 1])
             todo += [first, second]
+
+
+# -- the pivot rule against the full scan ----------------------------------------
+
+
+def reference_pivot(poset, universe, a, b):
+    """The pivot rule scanning every element of U and counting every time."""
+    down, up = poset._down, poset._up
+    elems = bits(universe)
+    scores = [(down[i] & universe).bit_count() + (up[i] & universe).bit_count() for i in elems]
+    m = max(scores)
+    if m**3 > len(elems):
+        return elems[scores.index(m)]
+    na, nb = len(a), len(b)
+    log_n = math.log(na + nb) / math.log(4 / 3)
+    in_a = _counts(a, universe, elems)
+    out_b = [nb - c for c in _counts(b, universe, elems)]
+    a_below = max(in_a) / na * m * log_n < 1 - _THRESHOLD_SLACK
+    b_below = max(out_b) / nb * m * m * log_n < 1 - _THRESHOLD_SLACK
+    if a_below and b_below:
+        return None
+    freqs = [max(ca * nb, cb * na) for ca, cb in zip(in_a, out_b)]
+    return elems[freqs.index(max(freqs))]
+
+
+@st.composite
+def sparse_ordered(draw):
+    """27-45 elements with a few disjoint comparable pairs, so at the root
+    m = 3 and m**3 <= |U|: pivots come from the frequencies with order
+    present.
+
+    A holds down-closures of small seeds.  Each B-member is the largest
+    downset missing one element of every A-member, so (*) holds.
+    """
+    n = draw(st.integers(27, 45))
+    names = [f"p{i}" for i in range(1, n + 1)]
+    ends = draw(st.lists(st.sampled_from(names), unique=True, min_size=2, max_size=8))
+    poset = poset_from_pairs(names, list(zip(ends[::2], ends[1::2])))
+    seeds = draw(st.lists(st.sets(st.sampled_from(names), min_size=2, max_size=3),
+                          min_size=1, max_size=6))
+    fam_a = minimal_members(poset.down_closure(s) for s in seeds)
+    fam_b = []
+    for _ in range(draw(st.integers(1, 8))):
+        missed = [draw(st.sampled_from(sorted(x))) for x in fam_a]
+        fam_b.append(frozenset(names).difference(*map(poset.up_set, missed)))
+    return DualityInstance(poset, fam_a, maximal_members(fam_b))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(planted_or_near(), matching_or_near(), sparse_ordered()))
+def test_pivot_matches_the_full_scan(inst):
+    """At every subproblem reached by splitting, the pivot, or None, is the
+    one the full scan of U and of the members gives.  Subproblems are taken
+    breadth first, so most are near the root, where U is large enough for
+    the frequency branch."""
+    poset = inst.poset
+    todo, seen = deque([_masks(inst)]), set()
+    while todo and len(seen) < 100:
+        node = todo.popleft()
+        universe, a, b = node
+        if node in seen or not a or not b:
+            continue
+        seen.add(node)
+        assert _pivot(poset, universe, a, b) == reference_pivot(poset, universe, a, b)
+        for p in bits(universe):
+            todo += _split(poset, universe, a, b, p)

@@ -75,10 +75,23 @@ def test_family_order_is_size_then_indices():
 families = st.lists(st.integers(0, 2**7 - 1), max_size=8)
 
 
-@given(families)
-def test_mask_helpers_agree_with_the_frozenset_references(family):
+@given(families, st.booleans())
+# the empty set among the candidates
+@example([0b0110, 0, 0b0001, 0], False)
+# candidates given as a generator
+@example([0b0110, 0, 0b0001], True)
+@example([0b0110, 0b0010, 0b1001], True)
+# containment only below the largest size class
+@example([0b1111000, 0b0000011, 0b0000001], False)
+# a repeated member of the largest size class
+@example([0b001, 0b110, 0b110], False)
+def test_mask_helpers_agree_with_the_frozenset_references(family, lazy):
     codec = Codec(range(7), "element")
     sets = [codec.members(m) for m in family]
-    assert set(map(codec.members, minimal_masks(family))) == set(minimal_members(sets))
-    assert set(map(codec.members, maximal_masks(family))) == set(maximal_members(sets))
+
+    def candidates():
+        return (m for m in family) if lazy else family
+
+    assert set(map(codec.members, minimal_masks(candidates()))) == set(minimal_members(sets))
+    assert set(map(codec.members, maximal_masks(candidates()))) == set(maximal_members(sets))
     assert is_mask_antichain(family) == is_antichain(sets)
