@@ -32,17 +32,26 @@ class DualityInstance(namedtuple("DualityInstance", "poset a b")):
     __slots__ = ()
 
     def __new__(cls, poset: Poset, a, b):
+        """Each member is encoded once; the family keeps the caller's sets,
+        listed in the family order of their masks.  When the poset has no
+        comparable pair every set of its names is a downset, and `encode`
+        has already rejected any other name, so no member is walked."""
         codec = poset._codec
         universe = (1 << len(poset)) - 1
         families = []
         for fam, label in ((a, "A"), (b, "B")):
-            masks = sorted(map(codec.encode, fam), key=family_key)
-            for mask in masks:
-                if not _is_downset(poset, universe, mask):
-                    raise ValueError(f"{label}-member {codec.decode(mask)} is not a downset")
+            pairs = sorted(
+                ((codec.encode(s), s) for s in map(frozenset, fam)),
+                key=lambda pair: family_key(pair[0]),
+            )
+            masks = [mask for mask, _ in pairs]
+            if poset._nonmin:
+                for mask in masks:
+                    if not _is_downset(poset, universe, mask):
+                        raise ValueError(f"{label}-member {codec.decode(mask)} is not a downset")
             if not is_mask_antichain(masks):
                 raise ValueError(f"family {label} is not an antichain")
-            families.append(tuple(map(codec.members, masks)))
+            families.append(tuple(s for _, s in pairs))
         return super().__new__(cls, poset, *families)
 
 
@@ -174,20 +183,19 @@ def _check(poset: Poset, universe: int, a: tuple, b: tuple, depth: int) -> None:
 
     Each member must lie in U, be a downset of it and belong to an
     antichain.  When no element of U is above another element of the poset,
-    every subset of U is a downset, so only containment in U is tested.
+    every subset of U is a downset, so only containment in U is tested, on
+    the union of the members.
     """
     if depth < 0:
         raise RuntimeError("duality recursion guard exceeded (normalization bug)")
     if any(x & ~y == 0 for x in a for y in b):
         raise RuntimeError("subproblem lost property (*) (normalization bug)")
-    ordered = universe & poset._nonmin
-    for fam in (a, b):
-        if ordered:
-            downsets = all(_is_downset(poset, universe, m) for m in fam)
-        else:
-            downsets = not any(m & ~universe for m in fam)
-        if not downsets or not is_mask_antichain(fam):
-            raise RuntimeError("subproblem family is not an antichain of downsets (normalization bug)")
+    if universe & poset._nonmin:
+        downsets = all(_is_downset(poset, universe, m) for m in a + b)
+    else:
+        downsets = not reduce(or_, a + b, 0) & ~universe
+    if not downsets or not is_mask_antichain(a) or not is_mask_antichain(b):
+        raise RuntimeError("subproblem family is not an antichain of downsets (normalization bug)")
 
 
 def _counts(family, universe: int, elems) -> list:
@@ -299,6 +307,7 @@ def test_duality_stats(inst: DualityInstance):
     The count is the size of the full recursion tree: a subproblem solved
     again from the memo counts its whole subtree again.
     """
-    if not check_star(inst):
+    universe, a, b = _masks(inst)
+    if any(x & ~y == 0 for x in a for y in b):
         raise ValueError("property (*) violated")
-    return _solve(inst.poset, *_masks(inst))
+    return _solve(inst.poset, universe, a, b)

@@ -15,8 +15,10 @@ def _reach(succ) -> tuple:
     node's mask is the OR of its successors' masks; cyclic tells whether an
     edge led back to a node on the search path.  O(n + pairs) mask
     operations."""
-    up = [0] * len(succ)
-    done = 0
+    # A node with no successors is finished before the search starts, so it
+    # never takes a frame of its own.
+    up = [0 if row else 1 << i for i, row in enumerate(succ)]
+    done = sum(up)
     cyclic = False
     # Roots in descending order: when pairs mostly run from earlier to later
     # elements, a node's successors are then finished before it is reached.

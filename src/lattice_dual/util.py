@@ -74,6 +74,11 @@ def transpose(masks, n: int) -> list:
     out = [0] * n
     for i, mask in enumerate(masks):
         bit = 1 << i
+        if not mask & (mask - 1):
+            # At most one bit set: no list of indices is needed.
+            if mask:
+                out[mask.bit_length() - 1] |= bit
+            continue
         for j in bits(mask):
             out[j] |= bit
     return out
@@ -135,9 +140,11 @@ def is_mask_antichain(family) -> bool:
         return False
     # Distinct members of equal size are incomparable, so each member is
     # tested only against strictly larger ones: those of the largest size
-    # need no test.
+    # need no test, and a family of one size needs none at all.
     by_size = sorted(family, key=int.bit_count)
-    sizes = [s.bit_count() for s in by_size]
+    if by_size[0].bit_count() == by_size[-1].bit_count():
+        return True
+    sizes = list(map(int.bit_count, by_size))
     for s, size in zip(by_size, sizes[: bisect_left(sizes, sizes[-1])]):
         larger = by_size[bisect_right(sizes, size):]
         if any(s & ~t == 0 for t in larger):

@@ -23,7 +23,7 @@ from lattice_dual import (
 from lattice_dual import test_duality as duality_test
 from lattice_dual import test_duality_stats as duality_test_stats
 from lattice_dual.duality import _THRESHOLD_SLACK, _check, _counts, _masks, _pivot, _split
-from lattice_dual.util import bits, maximal_masks
+from lattice_dual.util import Codec, bits, maximal_masks
 
 from conftest import matching_instance, planted_instance, random_instance, random_poset
 
@@ -42,6 +42,43 @@ def test_instance_rejects_non_downset():
 def test_instance_rejects_non_antichain():
     with pytest.raises(ValueError):
         DualityInstance(ANTI2, [{"p1"}, {"p1", "p2"}], [])
+
+
+@pytest.mark.parametrize(
+    "poset, fam_a, fam_b, message",
+    [
+        # two non-downsets: the first in family order is named, not the
+        # first given
+        (CHAIN3, [{"p3"}, {"p2"}], [], r"A-member \['p2'\] is not a downset"),
+        (CHAIN3, [], [{"p1", "p3"}, {"p2"}], r"B-member \['p2'\] is not a downset"),
+        # every name is checked before any member is walked
+        (CHAIN3, [{"p2"}, {"zz"}], [], "unknown element name: 'zz'"),
+        (CHAIN3, [{"p1"}], [{"p2"}, {"zz"}], "unknown element name: 'zz'"),
+        # a flat poset walks no member, and still rejects an unknown name
+        (ANTI2, [{"p1"}, {"p2", "zz"}], [], "unknown element name: 'zz'"),
+        (ANTI2, [], [{"zz"}], "unknown element name: 'zz'"),
+        # the downset test comes before the antichain test
+        (CHAIN3, [{"p1"}, {"p1", "p2", "p3"}, {"p3"}], [], r"A-member \['p3'\] is not a downset"),
+        (ANTI2, [{"p1"}, {"p1"}], [], "family A is not an antichain"),
+        (ANTI2, [], [{"p2"}, {"p1", "p2"}], "family B is not an antichain"),
+    ],
+)
+def test_instance_errors_come_in_order(poset, fam_a, fam_b, message):
+    with pytest.raises(ValueError, match=message):
+        DualityInstance(poset, fam_a, fam_b)
+
+
+def test_instance_keeps_equal_names_equal():
+    # A member may spell a name as any value equal to it: the record equals
+    # and hashes as the one spelled as the poset spells it, and its repr
+    # shows the spelling it was given.
+    poset = poset_from_pairs([1, 2], [(1, 2)])
+    given_as_float = DualityInstance(poset, [{1.0}], [set()])
+    given_as_int = DualityInstance(poset, [{1}], [set()])
+    assert given_as_float == given_as_int
+    assert hash(given_as_float) == hash(given_as_int)
+    assert repr(given_as_float.a) == "(frozenset({1.0}),)"
+    assert duality_test(given_as_float)
 
 
 # -- property (*) -----------------------------------------------------------
@@ -193,7 +230,7 @@ def test_duality_spec_examples():
 
 
 def test_duality_rejects_star_violation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"property \(\*\) violated"):
         duality_test(DualityInstance(ANTI2, [{"p1"}], [{"p1", "p2"}]))
 
 
@@ -240,10 +277,43 @@ def test_duality_stats_matching_k9_node_count():
     assert duality_test_stats(DualityInstance(poset, fam_a, fam_b)) == (True, 30503)
 
 
+ANTI100 = poset_from_pairs([f"p{i}" for i in range(1, 101)], [])
+
+
 def test_duality_stats_trivial_antichain_node_count():
-    poset = poset_from_pairs([f"p{i}" for i in range(1, 101)], [])
-    inst = DualityInstance(poset, [{e} for e in poset.elements], [set()])
+    inst = DualityInstance(ANTI100, [{e} for e in ANTI100.elements], [set()])
     assert duality_test_stats(inst) == (True, 201)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: matching_instance(6),
+        lambda: (ANTI100, [{e} for e in ANTI100.elements], [set()]),
+    ],
+    ids=["matching-k6", "trivial-antichain-100"],
+)
+def test_boundary_encodes_each_member_at_most_twice(monkeypatch, build):
+    # Building the record encodes each member once and decodes none; the
+    # test encodes each member once more.
+    poset, fam_a, fam_b = build()
+    calls = {"encode": 0, "members": 0}
+
+    def counted(name):
+        method = getattr(Codec, name)
+
+        def wrapper(self, arg):
+            calls[name] += 1
+            return method(self, arg)
+
+        return wrapper
+
+    monkeypatch.setattr(Codec, "encode", counted("encode"))
+    monkeypatch.setattr(Codec, "members", counted("members"))
+    dual, _ = duality_test_stats(DualityInstance(poset, fam_a, fam_b))
+    assert dual
+    assert calls["members"] == 0
+    assert calls["encode"] <= 2 * (len(fam_a) + len(fam_b))
 
 
 @pytest.mark.parametrize("drop", [0, 255, 511])
@@ -307,6 +377,13 @@ FLAT5 = poset_from_pairs([f"p{i}" for i in range(1, 6)], [])
         (FLAT5, 0b11111, (0b00011, 0b00011), (0b10000,), 5, "antichain of downsets"),
         (ANTI2, 0b11, (0b01,), (0b11,), 5, r"property \(\*\)"),
         (ANTI2, 0b11, (0b01,), (0b10,), -1, "recursion guard"),
+        # a repeated member in a one-size B
+        (FLAT5, 0b11111, (), (0b00100, 0b00100), 5, "antichain of downsets"),
+        # a member outside a flat U while the other family is empty
+        (FLAT5, 0b00011, (0b00100,), (), 5, "antichain of downsets"),
+        (FLAT5, 0b00011, (), (0b01000,), 5, "antichain of downsets"),
+        # (*) broken by the smaller of two A-members
+        (FLAT5, 0b11111, (0b00001, 0b11100), (0b00011,), 5, r"property \(\*\)"),
     ],
 )
 def test_check_rejects_bad_subproblems(poset, universe, a, b, depth, message):
@@ -317,6 +394,10 @@ def test_check_rejects_bad_subproblems(poset, universe, a, b, depth, message):
 def test_check_accepts_a_good_subproblem():
     _check(FLAT5, 0b11111, (0b00011, 0b11100), (0b10101, 0b01010), 0)
     _check(CHAIN3, 0b110, (0b010,), (0b000,), 0)
+    # an empty family on a flat U, beside members of U, and both empty
+    _check(FLAT5, 0b00110, (), (0b00110,), 0)
+    _check(FLAT5, 0b00110, (0b00010, 0b00100), (), 0)
+    _check(FLAT5, 0b00110, (), (), 0)
 
 
 # -- property-based agreement with the oracle -------------------------------------
@@ -350,6 +431,16 @@ def matching_or_near(draw):
     if draw(st.booleans()):
         del fam_b[draw(st.integers(0, len(fam_b) - 1))]
     return DualityInstance(poset, fam_a, fam_b)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(planted_or_near(), matching_or_near()))
+def test_instance_lists_members_in_family_order(inst):
+    codec = inst.poset._codec
+    for fam in (inst.a, inst.b):
+        assert type(fam) is tuple
+        assert list(fam) == codec.family(map(codec.encode, fam))
+        assert all(type(s) is frozenset for s in fam)
 
 
 # Drawing a planted instance runs the brute-force dualization.

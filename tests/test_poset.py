@@ -99,9 +99,18 @@ def test_from_pairs_matches_brute_closure(case):
         return
     p = Poset.from_pairs(names, named)
     assert p == Poset(names, leq)
+    # Poset equality compares up-masks only: the other masks are checked here.
+    assert p._down == tuple(sum(1 << i for i in range(n) if leq[i][j]) for j in range(n))
+    assert p._nonmin == sum(1 << j for j in range(n) if any(leq[i][j] for i in range(n) if i != j))
+    assert p._nonmax == sum(1 << i for i in range(n) if any(leq[i][j] for j in range(n) if j != i))
     kept = [i for i in range(n) if keep >> i & 1]
     induced = [[leq[i][j] for j in kept] for i in kept]
-    assert p.restrict(names[i] for i in kept) == Poset([names[i] for i in kept], induced)
+    restricted = p.restrict(names[i] for i in kept)
+    brute = Poset([names[i] for i in kept], induced)
+    assert restricted == brute
+    assert (restricted._down, restricted._nonmin, restricted._nonmax) == (
+        brute._down, brute._nonmin, brute._nonmax
+    )
 
 
 # -- principal sets ------------------------------------------------------

@@ -13,6 +13,7 @@ from lattice_dual.util import (
     is_mask_antichain,
     maximal_masks,
     minimal_masks,
+    transpose,
 )
 
 UNIVERSE = Codec([f"e{i}" for i in range(300)], "element")
@@ -62,6 +63,37 @@ def test_codec_rejects_unknown_and_repeated_names():
         UNIVERSE.encode(["e1", "zz"])
     with pytest.raises(ValueError, match="attribute names must be pairwise distinct"):
         Codec(["m1", "m1"], "attribute")
+
+
+def reference_transpose(masks, n):
+    return [sum(1 << i for i, mask in enumerate(masks) if mask >> j & 1) for j in range(n)]
+
+
+@pytest.mark.parametrize(
+    "masks, n",
+    [
+        ([], 0),
+        ([0, 0, 0], 3),
+        # one bit per row: the identity, a permutation, all into one column
+        ([0b001, 0b010, 0b100], 3),
+        ([0b100, 0b001, 0b010], 3),
+        ([0b10, 0b10, 0b10], 2),
+        # zero, one and several bits mixed
+        ([0, 0b1, 0b1011, 0, 0b1000], 4),
+        # dense rows: an upper triangle, and full rows over 70 columns
+        ([(1 << 5) - (1 << i) for i in range(5)], 5),
+        ([(1 << 70) - 1] * 3, 70),
+    ],
+)
+def test_transpose_matches_the_reference(masks, n):
+    assert transpose(masks, n) == reference_transpose(masks, n)
+
+
+@given(st.lists(index_sets(max_n=40), max_size=12))
+def test_transpose_of_drawn_rows(rows):
+    masks = [sum(1 << i for i in row) for row in rows]
+    assert transpose(masks, 40) == reference_transpose(masks, 40)
+    assert transpose(transpose(masks, 40), len(masks)) == masks
 
 
 def test_family_order_is_size_then_indices():
