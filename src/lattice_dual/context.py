@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .util import Codec, check_guard, transpose
+from .util import Codec, check_guard, name_key, pack, transpose
 
 CONCEPTS_GUARD = 25
 _DIMENSIONS = "incidence dimensions do not match object/attribute counts"
@@ -60,7 +60,8 @@ class FormalContext:
         for it in intents:
             it = set(it)
             if not it <= aset:
-                raise ValueError(f"unknown attributes in intent: {sorted(it - aset)}")
+                unknown = sorted(it - aset, key=name_key)
+                raise ValueError(f"unknown attributes in intent: {unknown}")
             sets.append(it)
         ocodec, acodec = Codec(objects, "object"), Codec(attributes, "attribute")
         if len(sets) != len(ocodec.names):
@@ -106,6 +107,17 @@ class FormalContext:
     def is_closed(self, attrs: Iterable[str]) -> bool:
         mask = self._acodec.encode(attrs)
         return self._close_amask(mask) == mask
+
+    def _intent_masks(self, family) -> list:
+        """Each set of the family as an attribute mask, in order; raises
+        ValueError at the first set that is not an intent."""
+        masks = []
+        for s in map(frozenset, family):
+            mask = self._acodec.encode(s)
+            if self._close_amask(mask) != mask:
+                raise ValueError(f"{sorted(s, key=name_key)} is not an intent of the context")
+            masks.append(mask)
+        return masks
 
     # -- concept enumeration ------------------------------------------
 
@@ -235,25 +247,22 @@ def _reducible_index(vectors, full):
 
 
 def reduce_context(ctx: FormalContext) -> FormalContext:
-    """Strip reducible objects and attributes, repeating to a fixpoint.
+    """Strip reducible objects, then reducible attributes: one pass per side.
 
-    Removal can expose new reducibles, so objects and attributes are
-    re-scanned until neither side changes.
+    Removing a reducible object or attribute leaves the concept lattice
+    unchanged, so it makes no other one reducible.  Of equal rows (columns)
+    only the last is kept.
     """
     objs = list(range(len(ctx.objects)))
     atts = list(range(len(ctx.attributes)))
-    changed = True
-    while changed:
-        changed = False
-        for keep, other, vectors in ((objs, atts, ctx._rows), (atts, objs, ctx._cols)):
-            full = sum(1 << k for k in other)
-            while (i := _reducible_index([vectors[k] & full for k in keep], full)) is not None:
-                del keep[i]
-                changed = True
+    for keep, other, vectors in ((objs, atts, ctx._rows), (atts, objs, ctx._cols)):
+        full = sum(1 << k for k in other)
+        while (i := _reducible_index([vectors[k] & full for k in keep], full)) is not None:
+            del keep[i]
     return FormalContext._from_rows(
         [ctx.objects[i] for i in objs],
         [ctx.attributes[j] for j in atts],
-        [sum((ctx._rows[i] >> j & 1) << k for k, j in enumerate(atts)) for i in objs],
+        [pack(ctx._rows[i], atts) for i in objs],
     )
 
 

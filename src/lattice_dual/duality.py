@@ -17,7 +17,7 @@ from collections import namedtuple
 from functools import reduce
 from operator import and_, or_
 
-from .poset import Poset
+from .poset import Poset, _is_downset
 from .util import bits, family_key, is_mask_antichain, maximal_masks, minimal_masks
 
 # Slack applied only on the early-reject side of the frequency thresholds:
@@ -63,28 +63,6 @@ def _masks(inst: DualityInstance) -> tuple:
         tuple(sorted(map(poset._codec.encode, inst.a))),
         tuple(sorted(map(poset._codec.encode, inst.b))),
     )
-
-
-def _is_downset(poset: Poset, universe: int, mask: int) -> bool:
-    """mask is a downset of the subposet induced on universe.
-
-    Either no element of mask has a predecessor in U outside it, or no
-    element of U outside mask has a successor in it; the side with fewer
-    elements to test is checked.  Minimal (maximal) elements of the poset
-    need no test on their side.
-    """
-    if mask & ~universe:
-        return False
-    outside = universe & ~mask
-    inner = mask & poset._nonmin
-    outer = outside & poset._nonmax
-    if not inner or not outer:
-        return True
-    if inner.bit_count() <= outer.bit_count():
-        down = poset._down
-        return not any(down[i] & outside for i in bits(inner))
-    up = poset._up
-    return not any(up[i] & mask for i in bits(outer))
 
 
 DualityVerdict = namedtuple("DualityVerdict", "dual witness", defaults=(None,))

@@ -6,7 +6,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .context import CONCEPTS_GUARD, FormalContext, _row_mask, _row_text, closed_masks
-from .util import check_guard
+from .util import check_guard, name_key
 
 
 class TrainingContext(namedtuple("TrainingContext", "positive negative")):
@@ -21,7 +21,7 @@ class TrainingContext(namedtuple("TrainingContext", "positive negative")):
             )
         overlap = set(positive.objects) & set(negative.objects)
         if overlap:
-            raise ValueError(f"object names shared between sides: {sorted(overlap)}")
+            raise ValueError(f"object names shared between sides: {sorted(overlap, key=name_key)}")
         return super().__new__(cls, positive, negative)
 
     @property
@@ -121,7 +121,7 @@ def _first_new(t: TrainingContext, known) -> int | None:
             return new
     for h, b in zip(known, masks):
         if b in pending:
-            raise ValueError(f"{sorted(h)} is not a minimal hypothesis")
+            raise ValueError(f"{sorted(h, key=name_key)} is not a minimal hypothesis")
     return new
 
 

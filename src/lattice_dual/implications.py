@@ -8,7 +8,7 @@ from collections.abc import Iterable
 
 from .context import FormalContext, closed_masks
 from .poset import Poset
-from .util import Codec, check_guard, is_mask_antichain
+from .util import Codec, check_guard, is_mask_antichain, name_key
 
 IS_BASE_GUARD = 18
 
@@ -103,15 +103,11 @@ def dci_to_mibr(ctx: FormalContext, a_family, b_family, imps):
     the extension is a base of the built context iff (A, B) are dual.
     """
     a_family, b_family, imps = list(a_family), list(b_family), list(imps)
-    unknown = set().union(*(i.premise | i.conclusion for i in imps)) - set(ctx.attributes)
+    named = set().union(*(i.premise | i.conclusion for i in imps))
+    unknown = sorted(named - set(ctx.attributes), key=name_key)
     if unknown:
-        raise ValueError(f"the base names attributes outside the context: {sorted(unknown)}")
-    masks = []
-    for s in map(frozenset, a_family + b_family):
-        mask = ctx._acodec.encode(s)
-        if ctx._close_amask(mask) != mask:
-            raise ValueError(f"{sorted(s)} is not an intent of the context")
-        masks.append(mask)
+        raise ValueError(f"the base names attributes outside the context: {unknown}")
+    masks = ctx._intent_masks(a_family + b_family)
     a_masks, b_masks = masks[: len(a_family)], masks[len(a_family) :]
     if not (is_mask_antichain(a_masks) and is_mask_antichain(b_masks)):
         raise ValueError("A and B must be antichains")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .util import Codec, bits, check_guard, transpose
+from .util import Codec, bits, check_guard, name_key, pack, transpose
 
 DOWNSETS_GUARD = 20
 
@@ -165,8 +165,7 @@ class Poset:
         return self._codec.members(mask)
 
     def is_downset(self, xs: Iterable[str]) -> bool:
-        xs = frozenset(xs)
-        return self.down_closure(xs) == xs
+        return _is_downset(self, (1 << len(self.elements)) - 1, self._codec.encode(xs))
 
     def all_downsets(self) -> list:
         """Every downset exactly once, in the family order (brute-force
@@ -203,15 +202,11 @@ class Poset:
         keep = set(keep)
         unknown = keep - self._codec.index.keys()
         if unknown:
-            raise ValueError(f"unknown element names: {sorted(unknown)}")
+            raise ValueError(f"unknown element names: {sorted(unknown, key=name_key)}")
         kept = bits(self._codec.encode(keep))
-        new_index = {old: new for new, old in enumerate(kept)}
-
-        def compress(masks):
-            return [sum(1 << new_index[j] for j in bits(masks[i]) if j in new_index) for i in kept]
-
         codec = Codec([self.elements[i] for i in kept], "element")
-        return Poset._from_masks(codec, compress(self._up), compress(self._down))
+        up, down = ([pack(masks[i], kept) for i in kept] for masks in (self._up, self._down))
+        return Poset._from_masks(codec, up, down)
 
     def m_value(self) -> int:
         """max over p of |down(p)| + |up(p)|; at least 2 for nonempty posets."""
@@ -249,6 +244,28 @@ class Poset:
         return f"Poset({list(self.elements)!r})"
 
 
+def _is_downset(poset: Poset, universe: int, mask: int) -> bool:
+    """mask is a downset of the subposet induced on universe.
+
+    Either no element of mask has a predecessor in U outside it, or no
+    element of U outside mask has a successor in it; the side with fewer
+    elements to test is checked.  Minimal (maximal) elements of the poset
+    need no test on their side.
+    """
+    if mask & ~universe:
+        return False
+    outside = universe & ~mask
+    inner = mask & poset._nonmin
+    outer = outside & poset._nonmax
+    if not inner or not outer:
+        return True
+    if inner.bit_count() <= outer.bit_count():
+        down = poset._down
+        return not any(down[i] & outside for i in bits(inner))
+    up = poset._up
+    return not any(up[i] & mask for i in bits(outer))
+
+
 def poset_from_pairs(names, pairs) -> Poset:
     return Poset.from_pairs(names, pairs)
 
@@ -265,13 +282,9 @@ def freq(family, p) -> Fraction:
 
 def freq_complement(family, poset: Poset, p) -> Fraction:
     """Fraction of family members NOT containing p."""
-    from fractions import Fraction
-
-    family = list(family)
-    if not family:
-        raise ValueError("frequency undefined for an empty family")
+    share = freq(family, p)
     poset._codec.position(p)
-    return Fraction(sum(1 for c in family if p not in c), len(family))
+    return 1 - share
 
 
 # -- frozenset references: public API and test oracles.  The library itself
@@ -279,11 +292,7 @@ def freq_complement(family, poset: Poset, p) -> Fraction:
 
 
 def _canon_family(family) -> list:
-    # Numbers sort before strings, so the mixed names poset JSON allows compare.
-    return sorted(
-        set(map(frozenset, family)),
-        key=lambda s: (len(s), sorted((isinstance(x, str), x) for x in s)),
-    )
+    return sorted(set(map(frozenset, family)), key=lambda s: (len(s), sorted(map(name_key, s))))
 
 
 def minimal_members(family) -> list:

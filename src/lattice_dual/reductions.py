@@ -6,11 +6,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import combinations
 
 from .context import FormalContext
 from .hypotheses import TrainingContext, is_hypothesis
 from .poset import Poset
-from .util import bits, is_mask_antichain, maximal_masks
+from .util import is_mask_antichain, maximal_masks
 
 
 # -- CNF and DIMACS ----------------------------------------------------
@@ -129,9 +130,9 @@ def sat_to_amh(cnf: Cnf):
         FormalContext.from_intents(neg_objects, attributes, neg_intents),
     )
     known = [frozenset({c}) for c in clause_attrs]
-    for h in known:
-        if not is_hypothesis(training, h, 0) or is_hypothesis(training, frozenset(), 0):
-            raise RuntimeError("construction failed to make clause singletons minimal")
+    empty_is_hypothesis = is_hypothesis(training, frozenset(), 0)
+    if empty_is_hypothesis or not all(is_hypothesis(training, h, 0) for h in known):
+        raise RuntimeError("construction failed to make clause singletons minimal")
     return training, known
 
 
@@ -172,12 +173,7 @@ def minvals_to_training(ctx: FormalContext, minvals) -> TrainingContext:
     """Positive context = ctx; one negative object per minimal-1-value
     intent, carrying that intent as its row.  Minimal hypotheses of the
     result are the maximal-0-value intents."""
-    masks = []
-    for s in map(frozenset, minvals):
-        mask = ctx._acodec.encode(s)
-        if ctx._close_amask(mask) != mask:
-            raise ValueError(f"{sorted(s)} is not a concept intent")
-        masks.append(mask)
+    masks = ctx._intent_masks(minvals)
     if not is_mask_antichain(masks):
         raise ValueError("minimal 1-values must be pairwise incomparable")
     neg = FormalContext._from_rows([f"neg{i}" for i in range(len(masks))], ctx.attributes, masks)
@@ -205,46 +201,44 @@ def training_to_monotone(t: TrainingContext):
 class ExplicitLattice:
     """A finite lattice given by its full order relation.
 
-    Construction computes the meet and join of every pair and fails,
-    naming the offending pair, when either is missing or ambiguous.
+    In a lattice down(a meet b) is down(a) & down(b), and up(a join b) is
+    up(a) & up(b), so each is found by looking that mask up among the
+    principal down- (up-) sets.  Construction fails, naming the first pair
+    in row-major order whose meet (or else join) is missing.
     """
 
     def __init__(self, elements, leq):
-        self.poset = Poset(elements, leq)
-        self.elements = self.poset.elements
-        n = len(self.elements)
-        self._meet = [[None] * n for _ in range(n)]
-        self._join = [[None] * n for _ in range(n)]
-        down = self.poset._down
-        up = self.poset._up
-        for i in range(n):
-            for j in range(n):
-                lower = down[i] & down[j]
-                upper = up[i] & up[j]
-                self._meet[i][j] = self._unique_extreme(lower, down, i, j, "meet")
-                self._join[i][j] = self._unique_extreme(upper, up, i, j, "join")
+        self._store(Poset(elements, leq))
 
-    def _unique_extreme(self, mask: int, closures, i: int, j: int, kind: str) -> int:
-        best = [k for k in bits(mask) if mask & ~closures[k] == 0]
-        if len(best) != 1:
-            raise ValueError(
-                f"not a lattice: no unique {kind} of "
-                f"{self.elements[i]!r} and {self.elements[j]!r}"
-            )
-        return best[0]
+    def _store(self, poset: Poset) -> None:
+        self.poset, self.elements = poset, poset.elements
+        down, up = poset._down, poset._up
+        self._meets = {mask: i for i, mask in enumerate(down)}
+        self._joins = {mask: i for i, mask in enumerate(up)}
+        sides = (("meet", down, self._meets), ("join", up, self._joins))
+        # A pair and its mirror share their bounds, and an element with
+        # itself has them, so the first failing pair has i < j.
+        for i, j in combinations(range(len(poset)), 2):
+            for kind, masks, index in sides:
+                if masks[i] & masks[j] not in index:
+                    raise ValueError(
+                        f"not a lattice: no unique {kind} of "
+                        f"{self.elements[i]!r} and {self.elements[j]!r}"
+                    )
 
     def meet(self, a: str, b: str) -> str:
-        position = self.poset._codec.position
-        return self.elements[self._meet[position(a)][position(b)]]
+        position, down = self.poset._codec.position, self.poset._down
+        return self.elements[self._meets[down[position(a)] & down[position(b)]]]
 
     def join(self, a: str, b: str) -> str:
-        position = self.poset._codec.position
-        return self.elements[self._join[position(a)][position(b)]]
+        position, up = self.poset._codec.position, self.poset._up
+        return self.elements[self._joins[up[position(a)] & up[position(b)]]]
 
     @classmethod
     def from_pairs(cls, names, pairs) -> "ExplicitLattice":
-        p = Poset.from_pairs(names, pairs)
-        return cls(p.elements, [[p.leq(a, b) for b in p.elements] for a in p.elements])
+        lattice = cls.__new__(cls)
+        lattice._store(Poset.from_pairs(names, pairs))
+        return lattice
 
 
 def irreducibles(lat: ExplicitLattice):

@@ -2,9 +2,9 @@
 
 Inside the library a set is an integer bitmask over a fixed universe of
 names: bit i stands for the i-th name.  Names are translated at the API
-and CLI boundary only, by a `Codec`.  Families of masks are listed in one
-order, `family_key`, and minimised, maximised and checked for being
-antichains by the helpers below.
+and CLI boundary only, by a `Codec`.  Names are listed in one order,
+`name_key`, and families of masks in one order, `family_key`; families are
+minimised, maximised and checked for being antichains by the helpers below.
 """
 
 import os
@@ -84,9 +84,20 @@ def transpose(masks, n: int) -> list:
     return out
 
 
+def pack(mask: int, kept) -> int:
+    """Bit kept[k] of mask as bit k, for each position k of the index list."""
+    return sum(1 << k for k, j in enumerate(kept) if mask >> j & 1)
+
+
 def family_key(mask: int) -> tuple:
     """The one order of a family: by size, then by ascending index lists."""
     return mask.bit_count(), bits(mask)
+
+
+def name_key(name) -> tuple:
+    """The one order of names: numbers before strings, so that the mixed
+    names poset JSON allows compare."""
+    return isinstance(name, str), name
 
 
 class Codec:

@@ -220,6 +220,26 @@ def test_dual_brute_reports_witness(capsys, tmp_path):
     assert doc["witness"] == ["p2"]
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "elements, pairs, fam_b, dual",
+    [
+        (["p1", "p2", "p3"], [["p1", "p2"], ["p2", "p3"]], [[]], True),
+        (["p1", "p2"], [], [[]], False),
+    ],
+    ids=["dual", "not-dual"],
+)
+def test_dual_test_oracle_prints_what_brute_prints(capsys, tmp_path, strict, elements, pairs,
+                                                   fam_b, dual):
+    poset, a, b = write_poset_inputs(tmp_path, elements, pairs, [["p1"]], fam_b)
+    flags = ["--strict-exit"] if strict else []
+    files = ["--poset", poset, "--a", a, "--b", b]
+    brute = run_cli(capsys, *flags, "dual", "brute", *files)
+    assert brute[0] == (1 if strict and not dual else 0)
+    assert json.loads(brute[1])["dual"] is dual
+    assert run_cli(capsys, *flags, "dual", "test", *files, "--oracle") == brute
+
+
 def test_dual_dualize(capsys, tmp_path):
     poset, a = write_poset_inputs(tmp_path, ["p1", "p2"], [], [["p1", "p2"]])
     code, out, _ = run_cli(capsys, "dual", "dualize", "--poset", poset, "--a", a)

@@ -371,6 +371,72 @@ def test_reduce_preserves_intent_lattice():
             assert (original[x] <= original[y]) == (image[x] <= image[y])
 
 
+def fixpoint_reduce(ctx: FormalContext) -> FormalContext:
+    """Reference: strip reducible objects and attributes, re-scanning both
+    sides until neither changes."""
+
+    def reducible_index(vectors, full):
+        for i, v in enumerate(vectors):
+            inter = full
+            for j, w in enumerate(vectors):
+                if j != i and w & v == v:
+                    inter &= w
+            if inter == v:
+                return i
+        return None
+
+    objs = list(range(len(ctx.objects)))
+    atts = list(range(len(ctx.attributes)))
+    changed = True
+    while changed:
+        changed = False
+        for keep, other, vectors in ((objs, atts, ctx._rows), (atts, objs, ctx._cols)):
+            full = sum(1 << k for k in other)
+            while (i := reducible_index([vectors[k] & full for k in keep], full)) is not None:
+                del keep[i]
+                changed = True
+    return FormalContext._from_rows(
+        [ctx.objects[i] for i in objs],
+        [ctx.attributes[j] for j in atts],
+        [sum((ctx._rows[i] >> j & 1) << k for k, j in enumerate(atts)) for i in objs],
+    )
+
+
+def reducible(sets, full) -> list:
+    """The members equal to the intersection of the other members that
+    contain them (the empty intersection being full)."""
+    out = []
+    for i, s in enumerate(sets):
+        inter = set(full)
+        for j, t in enumerate(sets):
+            if j != i and s <= t:
+                inter &= t
+        if inter == s:
+            out.append(i)
+    return out
+
+
+def test_reduce_is_one_pass_per_side():
+    rng = random.Random(211)
+    for _ in range(600):
+        ctx = random_context(rng, 9, 9)
+        rows = [ctx.row(g) for g in ctx.objects]
+        rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))]
+        attrs = list(ctx.attributes)
+        for k in range(rng.randint(0, 3)):
+            copied = rng.choice(ctx.attributes)
+            attrs.append(f"c{k}")
+            rows = [row | {f"c{k}"} if copied in row else row for row in rows]
+        objects = [f"g{i}" for i in range(len(rows))]
+        order = rng.sample(range(len(rows)), len(rows))
+        ctx = FormalContext.from_intents(objects, attrs, [rows[i] for i in order])
+        red = reduce_context(ctx)
+        assert not reducible([red.row(g) for g in red.objects], red.attributes)
+        assert not reducible([red.column(m) for m in red.attributes], red.objects)
+        assert ctx_equal(reduce_context(red), red)
+        assert red == fixpoint_reduce(ctx)
+
+
 # -- construction errors -------------------------------------------------
 
 

@@ -139,6 +139,7 @@ def test_down_closure_is_closure_operator():
         assert cx <= cy
         assert p.down_closure(cx) == cx
         assert p.is_downset(cx)
+        assert p.is_downset(x) == (x == cx)
 
 
 def test_unknown_element_rejected():
@@ -250,6 +251,11 @@ def test_freq_empty_family_rejected():
         freq([], "p1")
     with pytest.raises(ValueError):
         freq_complement([], antichain_poset(1), "p1")
+    # The empty family is reported before an unknown element.
+    with pytest.raises(ValueError, match="empty family"):
+        freq_complement([], antichain_poset(1), "p9")
+    with pytest.raises(ValueError, match="unknown element name: 'p9'"):
+        freq_complement([frozenset({"p1"})], antichain_poset(1), "p9")
 
 
 def test_freq_is_exact_rational():

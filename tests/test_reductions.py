@@ -28,7 +28,16 @@ from lattice_dual import (
     write_dimacs,
 )
 
-from conftest import brute_sat, genuine_minimal_hypotheses, random_cnf, random_context
+from lattice_dual import reductions
+from lattice_dual.hypotheses import is_hypothesis
+
+from conftest import (
+    brute_sat,
+    genuine_minimal_hypotheses,
+    random_cnf,
+    random_context,
+    random_poset,
+)
 
 
 # -- CNF / DIMACS -------------------------------------------------------------
@@ -100,6 +109,18 @@ def test_sat_to_amh_clause_singletons_are_minimal():
         cnf = random_cnf(rng, 3, 3)
         t, known = sat_to_amh(cnf)
         assert set(known) <= set(minimal_hypotheses(t))
+
+
+def test_sat_to_amh_checks_the_empty_set_once(monkeypatch):
+    tested = []
+
+    def recording(t, h, k=0):
+        tested.append(frozenset(h))
+        return is_hypothesis(t, h, k)
+
+    monkeypatch.setattr(reductions, "is_hypothesis", recording)
+    _, known = sat_to_amh(Cnf(2, [[1, 2], [-1], [2, -2]]))
+    assert tested == [frozenset()] + known
 
 
 def test_sat_to_amh_rejects_degenerate():
@@ -271,6 +292,74 @@ def test_lattice_meet_join_tables():
     assert lat.meet("x", "y") == "bot"
     assert lat.join("x", "y") == "top"
     assert lat.meet("x", "top") == "x"
+
+
+def random_order(rng, n):
+    """(names, pairs, leq): a random order on n elements declared in a random
+    order, sometimes with a bottom and a top added at random places, and its
+    reflexive-transitive closure as a set of pairs."""
+    names = [f"e{i}" for i in range(n)]
+    linear = rng.sample(names, n)
+    density = rng.random()
+    pairs = [(x, y) for i, x in enumerate(linear) for y in linear[i + 1 :] if rng.random() < density]
+    if rng.random() < 0.5:
+        pairs += [("bot", x) for x in names] + [(x, "top") for x in names] + [("bot", "top")]
+        for extreme in ("bot", "top"):
+            names.insert(rng.randint(0, len(names)), extreme)
+    leq = {(x, x) for x in names} | set(pairs)
+    for k in names:
+        leq |= {(i, j) for i in names if (i, k) in leq for j in names if (k, j) in leq}
+    return names, pairs, leq
+
+
+def brute_bound(names, leq, a, b, kind):
+    """The greatest common lower bound ("meet") or least common upper bound
+    ("join") of a and b, found by scanning leq; None when there is none."""
+    below = (lambda x, y: (x, y) in leq) if kind == "meet" else (lambda x, y: (y, x) in leq)
+    common = [c for c in names if below(c, a) and below(c, b)]
+    best = [c for c in common if all(below(d, c) for d in common)]
+    return best[0] if best else None
+
+
+def test_lattice_agrees_with_brute_bounds():
+    rng = random.Random(193)
+    lattices = 0
+    for _ in range(250):
+        names, pairs, leq = random_order(rng, rng.randint(1, 9))
+        bounds = {
+            (a, b, kind): brute_bound(names, leq, a, b, kind)
+            for a, b in itertools.product(names, repeat=2)
+            for kind in ("meet", "join")
+        }
+        missing = [key for key, bound in bounds.items() if bound is None]
+        matrix = [[(a, b) in leq for b in names] for a in names]
+        for build in (
+            lambda: ExplicitLattice.from_pairs(names, pairs),
+            lambda: ExplicitLattice(names, matrix),
+        ):
+            if missing:
+                a, b, kind = missing[0]  # row-major, the meet before the join
+                with pytest.raises(ValueError) as raised:
+                    build()
+                assert str(raised.value) == f"not a lattice: no unique {kind} of {a!r} and {b!r}"
+                continue
+            lat = build()
+            for (a, b, kind), bound in bounds.items():
+                assert getattr(lat, kind)(a, b) == bound
+        lattices += not missing
+    assert 40 < lattices < 210
+
+
+def test_downset_lattice_meets_and_joins_are_intersections_and_unions():
+    rng = random.Random(197)
+    for _ in range(20):
+        downsets = random_poset(rng, 5).all_downsets()
+        index = {d: i for i, d in enumerate(downsets)}
+        names = list(range(len(downsets)))
+        lat = ExplicitLattice(names, [[x <= y for y in downsets] for x in downsets])
+        for (i, x), (j, y) in itertools.product(enumerate(downsets), repeat=2):
+            assert lat.meet(i, j) == index[x & y]
+            assert lat.join(i, j) == index[x | y]
 
 
 def test_non_lattice_rejected_with_pair():

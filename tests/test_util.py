@@ -5,7 +5,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lattice_dual import is_antichain, maximal_members, minimal_members
+from lattice_dual import (
+    FormalContext,
+    Implication,
+    Poset,
+    TrainingContext,
+    decide_amh,
+    dci_to_mibr,
+    is_antichain,
+    maximal_members,
+    minimal_members,
+    minvals_to_training,
+)
 from lattice_dual.util import (
     Codec,
     bits,
@@ -13,6 +24,8 @@ from lattice_dual.util import (
     is_mask_antichain,
     maximal_masks,
     minimal_masks,
+    name_key,
+    pack,
     transpose,
 )
 
@@ -127,3 +140,63 @@ def test_mask_helpers_agree_with_the_frozenset_references(family, lazy):
     assert set(map(codec.members, minimal_masks(candidates()))) == set(minimal_members(sets))
     assert set(map(codec.members, maximal_masks(candidates()))) == set(maximal_members(sets))
     assert is_mask_antichain(family) == is_antichain(sets)
+
+
+def test_pack_moves_the_kept_bits_down_in_order():
+    assert pack(0b101101, [0, 2, 3, 5]) == 0b1111
+    assert pack(0b101101, [1, 4]) == 0
+    assert pack(0b101101, [5, 0]) == 0b11
+    assert pack(0b1, []) == 0
+
+
+# -- one order of names ------------------------------------------------------
+
+
+def test_name_key_puts_numbers_before_strings():
+    assert sorted(["b", 2, "a", 1.5, 0], key=name_key) == [0, 1.5, 2, "a", "b"]
+
+
+# Names 1 and "a" together, so a bare `sorted` of names would compare an int
+# with a str.  Contexts over the attributes 1, "a" and "b":
+#   LOCKED: one full row and one empty row, so {1, "a"} closes to all three;
+#   SPLIT: 1 and "a" in different rows, with an empty negative row, so
+#   {1, "a"} is a hypothesis, but not a minimal one.
+MIXED = [1, "a", "b"]
+LOCKED = FormalContext.from_intents(["g", "h"], MIXED, [set(MIXED), set()])
+SPLIT = TrainingContext(
+    FormalContext.from_intents(["p", "q"], MIXED, [{1}, {"a"}]),
+    FormalContext.from_intents(["n"], MIXED, [set()]),
+)
+MIXED_OBJECTS = FormalContext.from_intents([1, "a"], MIXED, [set(), set()])
+NOT_AN_INTENT = "[1, 'a'] is not an intent of the context"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: Poset.from_pairs(MIXED, []).restrict(["z", 1, 2]),
+            "unknown element names: [2, 'z']",
+        ),
+        (
+            lambda: FormalContext.from_intents(["g"], MIXED, [{"z", 1, 2}]),
+            "unknown attributes in intent: [2, 'z']",
+        ),
+        (
+            lambda: TrainingContext(MIXED_OBJECTS, MIXED_OBJECTS),
+            "object names shared between sides: [1, 'a']",
+        ),
+        (lambda: decide_amh(SPLIT, [{"a", 1}]), "[1, 'a'] is not a minimal hypothesis"),
+        (
+            lambda: dci_to_mibr(LOCKED, [], [], [Implication(["z"], [2])]),
+            "the base names attributes outside the context: [2, 'z']",
+        ),
+        (lambda: minvals_to_training(LOCKED, [{"a", 1}]), NOT_AN_INTENT),
+        (lambda: dci_to_mibr(LOCKED, [{"a", 1}], [], []), NOT_AN_INTENT),
+    ],
+    ids=["restrict", "from_intents", "training", "first_new", "dci_base", "minvals", "dci_intent"],
+)
+def test_messages_list_mixed_names_in_the_name_order(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
