@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .util import GuardExceeded, family_key
+from .util import GuardExceeded, family_key, is_name_list
 
 
 def _read(path: str) -> str:
@@ -31,9 +31,7 @@ def _read_json(path: str):
 def _read_family(path: str) -> list:
     """A family of attribute sets: a JSON list of lists of names."""
     doc = _read_json(path)
-    if not isinstance(doc, list) or not all(
-        isinstance(s, list) and all(isinstance(m, str) for m in s) for s in doc
-    ):
+    if not isinstance(doc, list) or not all(is_name_list(s, str) for s in doc):
         raise ValueError(f"{path}: family JSON must be a list of lists of attribute names")
     return [frozenset(s) for s in doc]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .util import Codec, check_guard, name_key, pack, transpose
+from .util import Codec, check_guard, flag_mask, name_key, pack, transpose
 
 CONCEPTS_GUARD = 25
 _DIMENSIONS = "incidence dimensions do not match object/attribute counts"
@@ -29,14 +29,7 @@ class FormalContext:
         matrix = [list(row) for row in incidence]
         if len(matrix) != len(ocodec.names) or any(len(r) != len(acodec.names) for r in matrix):
             raise ValueError(_DIMENSIONS)
-        rows = []
-        for r in matrix:
-            mask = 0
-            for j, v in enumerate(r):
-                if v:
-                    mask |= 1 << j
-            rows.append(mask)
-        self._store(ocodec, acodec, rows)
+        self._store(ocodec, acodec, list(map(flag_mask, matrix)))
 
     def _store(self, ocodec, acodec, rows) -> None:
         self.objects, self.attributes = ocodec.names, acodec.names
@@ -228,8 +221,8 @@ def contranominal_scale(n: int) -> FormalContext:
         raise ValueError("contranominal scale needs n >= 1")
     objects = [f"g{i}" for i in range(1, n + 1)]
     attributes = [f"m{i}" for i in range(1, n + 1)]
-    matrix = [[i != j for j in range(n)] for i in range(n)]
-    return FormalContext(objects, attributes, matrix)
+    full = (1 << n) - 1
+    return FormalContext._from_rows(objects, attributes, [full & ~(1 << i) for i in range(n)])
 
 
 def _reducible_index(vectors, full):
@@ -315,7 +308,7 @@ def _row_mask(text, n: int) -> int | None:
     unless text is a string of exactly n such characters."""
     if not isinstance(text, str) or len(text) != n or text.strip("X."):
         return None
-    return sum(1 << j for j, ch in enumerate(text) if ch == "X")
+    return flag_mask(ch == "X" for ch in text)
 
 
 def _row_text(row: int, n: int) -> str:

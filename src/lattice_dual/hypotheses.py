@@ -6,7 +6,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .context import CONCEPTS_GUARD, FormalContext, _row_mask, _row_text, closed_masks
-from .util import check_guard, name_key
+from .util import check_guard, is_name_list, name_key
 
 
 class TrainingContext(namedtuple("TrainingContext", "positive negative")):
@@ -35,7 +35,7 @@ class TrainingContext(namedtuple("TrainingContext", "positive negative")):
 
 def _negative_cover_count(t: TrainingContext, h: int) -> int:
     """Negative object intents containing the attribute mask h."""
-    return sum(1 for r in t.negative._rows if r & h == h)
+    return t.negative._extent_amask(h).bit_count()
 
 
 def is_hypothesis(t: TrainingContext, h: Iterable[str], k: int = 0) -> bool:
@@ -176,7 +176,7 @@ def training_from_json(doc: dict) -> TrainingContext:
         raise ValueError(
             'training JSON must have "attributes", "positive" and "negative"'
         ) from None
-    if not isinstance(attributes, list) or not all(isinstance(m, str) for m in attributes):
+    if not is_name_list(attributes, str):
         raise ValueError('training JSON "attributes" must be a list of attribute names')
 
     def build(rows) -> FormalContext:

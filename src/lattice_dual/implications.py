@@ -8,7 +8,7 @@ from collections.abc import Iterable
 
 from .context import FormalContext, closed_masks
 from .poset import Poset
-from .util import Codec, check_guard, is_mask_antichain, name_key
+from .util import Codec, check_guard, is_mask_antichain, is_name_list, name_key
 
 IS_BASE_GUARD = 18
 
@@ -126,10 +126,6 @@ def dci_to_mibr(ctx: FormalContext, a_family, b_family, imps):
 # -- JSON form: [{"premise": [...], "conclusion": [...]}, ...] --------
 
 
-def _is_string_list(doc) -> bool:
-    return isinstance(doc, list) and all(isinstance(m, str) for m in doc)
-
-
 def implications_from_json(doc) -> list:
     if not isinstance(doc, list):
         raise ValueError("implication set JSON must be a list")
@@ -137,8 +133,8 @@ def implications_from_json(doc) -> list:
     for item in doc:
         if not (
             isinstance(item, dict)
-            and _is_string_list(item.get("premise"))
-            and _is_string_list(item.get("conclusion"))
+            and is_name_list(item.get("premise"), str)
+            and is_name_list(item.get("conclusion"), str)
         ):
             raise ValueError(
                 f"malformed implication entry (premise and conclusion must be "

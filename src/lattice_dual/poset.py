@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .util import Codec, bits, check_guard, name_key, pack, transpose
+from .util import Codec, bits, check_guard, flag_mask, is_name_list, name_key, pack, transpose
 
 DOWNSETS_GUARD = 20
 
@@ -68,7 +68,7 @@ class Poset:
         matrix = [list(row) for row in leq]
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError("leq matrix dimensions do not match element count")
-        up = [sum(1 << j for j, x in enumerate(row) if x) for row in matrix]
+        up = list(map(flag_mask, matrix))
         down = transpose(up, n)
         for i, mask in enumerate(up):
             if not mask >> i & 1:
@@ -124,16 +124,11 @@ class Poset:
                 succ[idx[a]] |= 1 << idx[b]
         up, cyclic = _reach(succ)
         if cyclic:
-            # The post-order misses what a cycle leads back to: close to a
-            # fixpoint, so that the check below names the first cycle.
-            grown = True
-            while grown:
-                grown = False
-                for i, row in enumerate(up):
-                    for j in bits(row):
-                        row |= up[j]
-                    if row != up[i]:
-                        up[i], grown = row, True
+            # The post-order misses what a cycle leads back to: Warshall's
+            # loop closes the masks, so that the check below names the first
+            # cycle.  Each up[k] holds bit k, so round k leaves it unchanged.
+            for k in range(n):
+                up = [row | up[k] if row >> k & 1 else row for row in up]
         down = transpose(up, n)
         for i in range(n):
             cycle = up[i] & down[i] & ~((2 << i) - 1)
@@ -319,17 +314,19 @@ def is_antichain(family) -> bool:
 # -- JSON form: {"elements": [...], "less_than": [["a","b"], ...]} ----
 
 
-def _is_name_list(doc) -> bool:
-    return isinstance(doc, list) and all(isinstance(e, (str, int, float)) for e in doc)
+# Poset JSON may name elements by numbers as well as by strings.
+_NAME_TYPES = (str, int, float)
 
 
 def poset_from_json(doc: dict) -> Poset:
     if not isinstance(doc, dict) or "elements" not in doc:
         raise ValueError('poset JSON must be {"elements": [...], "less_than": [...]}')
-    if not _is_name_list(doc["elements"]):
+    if not is_name_list(doc["elements"], _NAME_TYPES):
         raise ValueError('poset JSON "elements" must be a list of element names')
     pairs = doc.get("less_than", [])
-    if not isinstance(pairs, list) or not all(_is_name_list(p) and len(p) == 2 for p in pairs):
+    if not isinstance(pairs, list) or not all(
+        is_name_list(p, _NAME_TYPES) and len(p) == 2 for p in pairs
+    ):
         raise ValueError('poset JSON "less_than" must be a list of [lower, upper] name pairs')
     return Poset.from_pairs(doc["elements"], [tuple(p) for p in pairs])
 
@@ -342,7 +339,7 @@ def poset_to_json(poset: Poset) -> dict:
 
 def family_from_json(doc, poset: Poset) -> list:
     """Antichain-family JSON: a list of lists of element names."""
-    if not isinstance(doc, list) or not all(map(_is_name_list, doc)):
+    if not isinstance(doc, list) or not all(is_name_list(m, _NAME_TYPES) for m in doc):
         raise ValueError("antichain family JSON must be a list of lists of element names")
     for member in doc:
         poset._codec.encode(member)

@@ -11,7 +11,7 @@ from itertools import combinations
 from .context import FormalContext
 from .hypotheses import TrainingContext, is_hypothesis
 from .poset import Poset
-from .util import is_mask_antichain, maximal_masks
+from .util import is_mask_antichain, maximal_masks, pack
 
 
 # -- CNF and DIMACS ----------------------------------------------------
@@ -255,22 +255,21 @@ def irreducibles(lat: ExplicitLattice):
 
 def product_context(lattices) -> FormalContext:
     """Context of a product of lattices: per-factor irreducible contexts on
-    the diagonal blocks, full incidence across factors."""
-    lattices = list(lattices)
-    blocks = []
+    the diagonal blocks, full incidence across factors.
+
+    A factor's block of an object's row is its up-set packed onto the
+    factor's meet-irreducibles; every other block is all ones."""
+    objects, attributes, blocks = [], [], []
     for idx, lat in enumerate(lattices):
         joins, meets = irreducibles(lat)
-        gs = [e for e in lat.elements if e in joins]
-        ms = [e for e in lat.elements if e in meets]
-        blocks.append((idx, lat, gs, ms))
-    objects = [f"L{idx}:{g}" for idx, _, gs, _ in blocks for g in gs]
-    attributes = [f"L{idx}:{m}" for idx, _, _, ms in blocks for m in ms]
-    matrix = []
-    for gi, lat_g, gs, _ in blocks:
-        for g in gs:
-            row = []
-            for mi, lat_m, _, ms in blocks:
-                for m in ms:
-                    row.append(gi != mi or lat_g.poset.leq(g, m))
-            matrix.append(row)
-    return FormalContext(objects, attributes, matrix)
+        gs = [i for i, e in enumerate(lat.elements) if e in joins]
+        ms = [i for i, e in enumerate(lat.elements) if e in meets]
+        objects += [f"L{idx}:{lat.elements[i]}" for i in gs]
+        attributes += [f"L{idx}:{lat.elements[i]}" for i in ms]
+        blocks.append((lat.poset._up, gs, ms))
+    full, rows, shift = (1 << len(attributes)) - 1, [], 0
+    for up, gs, ms in blocks:
+        others = full & ~(((1 << len(ms)) - 1) << shift)
+        rows += [others | pack(up[g], ms) << shift for g in gs]
+        shift += len(ms)
+    return FormalContext._from_rows(objects, attributes, rows)

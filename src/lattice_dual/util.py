@@ -2,9 +2,11 @@
 
 Inside the library a set is an integer bitmask over a fixed universe of
 names: bit i stands for the i-th name.  Names are translated at the API
-and CLI boundary only, by a `Codec`.  Names are listed in one order,
-`name_key`, and families of masks in one order, `family_key`; families are
-minimised, maximised and checked for being antichains by the helpers below.
+and CLI boundary only, by a `Codec`; a row of truth values becomes a mask
+by `flag_mask`, and a JSON list of names is checked by `is_name_list`.
+Names are listed in one order, `name_key`, and families of masks in one
+order, `family_key`; families are minimised, maximised and checked for
+being antichains by the helpers below.
 """
 
 import os
@@ -84,6 +86,12 @@ def transpose(masks, n: int) -> list:
     return out
 
 
+def flag_mask(flags) -> int:
+    """The mask with bit j set for each true flags[j]: one row of a truth
+    table as a mask."""
+    return sum(1 << j for j, x in enumerate(flags) if x)
+
+
 def pack(mask: int, kept) -> int:
     """Bit kept[k] of mask as bit k, for each position k of the index list."""
     return sum(1 << k for k, j in enumerate(kept) if mask >> j & 1)
@@ -92,6 +100,11 @@ def pack(mask: int, kept) -> int:
 def family_key(mask: int) -> tuple:
     """The one order of a family: by size, then by ascending index lists."""
     return mask.bit_count(), bits(mask)
+
+
+def is_name_list(doc, types) -> bool:
+    """doc is a JSON list whose every entry is an instance of types."""
+    return isinstance(doc, list) and all(isinstance(e, types) for e in doc)
 
 
 def name_key(name) -> tuple:

@@ -6,7 +6,9 @@ exactly eight minimal hypotheses; several tests pin them down explicitly.
 """
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,11 @@ from lattice_dual import (
     Poset,
     TrainingContext,
 )
+
+# The package is imported from this checkout's src, by pytest itself (see
+# pyproject.toml) and by the `python -m lattice_dual` subprocesses of the tests.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 ATTRS6 = ["m1", "m2", "m3", "m4", "m5", "m6"]
 

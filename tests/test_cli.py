@@ -1,10 +1,16 @@
 """Command-line interface: JSON payloads, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from lattice_dual import contranominal_scale, training_to_json, write_cxt
 from lattice_dual.cli import main
@@ -488,3 +494,150 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert len(json.loads(result.stdout)) == 8
+
+
+# -- fuzzing: the exit-code and stdout contract on any input -------------------
+
+NAMES = ["a", "b", "c", "d", "e", "f"]
+_name = st.sampled_from(NAMES)
+_names = st.lists(_name, max_size=6)
+
+
+def _distinct(names):
+    """A list of distinct members of names, in any order."""
+    return st.tuples(st.permutations(names), st.integers(0, len(names))).map(lambda p: p[0][: p[1]])
+
+
+# Attribute lists: often a prefix of NAMES, so that two files agree.
+_attributes = st.integers(0, 6).map(lambda n: NAMES[:n]) | _distinct(NAMES)
+_keys = st.sampled_from(NAMES + ["elements", "less_than", "attributes", "positive",
+                                 "negative", "premise", "conclusion"])
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | _name,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=6,
+)
+_broken_json = st.sampled_from(["", "[", "{", '{"elements": [', "[[]", "nul", "\x00"])
+
+
+@st.composite
+def _poset_doc(draw):
+    elements = draw(_distinct(NAMES[:4] + [0, 1]))
+    pair = st.lists(st.sampled_from(elements), min_size=2, max_size=2) if elements else st.just([])
+    return {"elements": elements, "less_than": draw(st.lists(pair, max_size=3))}
+
+
+@st.composite
+def _training_doc(draw):
+    attributes = draw(_attributes)
+    row = st.text("X.", min_size=len(attributes), max_size=len(attributes))
+    if draw(st.integers(0, 9)) == 0:
+        row = st.text("X.o", max_size=7)
+    side = st.dictionaries(st.sampled_from(["g1", "g2", "g3", "g4"]), row, max_size=4)
+    return {"attributes": attributes, "positive": draw(side), "negative": draw(side)}
+
+
+@st.composite
+def _cxt_text(draw):
+    objects = draw(_distinct(["g1", "g2", "g3", "g4"]))
+    attributes = draw(_attributes)
+    rows = [draw(st.text("X.", min_size=len(attributes), max_size=len(attributes)))
+            for _ in objects]
+    lines = ["B", "", str(len(objects)), str(len(attributes)), "", *objects, *attributes, *rows]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _dimacs_text(draw):
+    clauses = draw(st.lists(st.lists(st.integers(-4, 4), max_size=3), max_size=4))
+    count = draw(st.sampled_from([len(clauses), 1]))
+    body = "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    return f"p cnf {draw(st.integers(0, 4))} {count}\n" + body
+
+
+_tokens = st.lists(st.sampled_from(["B", "X", ".", "p", "cnf", "c", "0", "1", "-2", "x", "\n"]),
+                   max_size=12).map(" ".join)
+
+
+def _file(good, bad):
+    """File text: five times in six from good, else from bad."""
+    return st.integers(0, 5).flatmap(lambda i: good if i else bad)
+
+
+def _json_file(doc):
+    return _file(doc.map(json.dumps), _any_json.map(json.dumps) | _broken_json)
+
+
+_FILES = {
+    "cxt": _file(_cxt_text(), _tokens),
+    "cnf": _file(_dimacs_text(), _tokens),
+    "poset": _json_file(_poset_doc()),
+    # Few small members over a, b and c, so that a verb often accepts the family.
+    "family": _json_file(st.lists(_distinct(NAMES[:3]), max_size=3)),
+    "training": _json_file(_training_doc()),
+    "base": _json_file(
+        st.lists(st.fixed_dictionaries({"premise": _names, "conclusion": _names}), max_size=3)
+    ),
+}
+
+# verb: (subverbs, [(flag, a file kind, a strategy for the flag's value, or None)])
+_VERBS = {
+    "ctx": (["concepts", "reduce", "close"],
+            [("--context", "cxt"), ("--set", _names.map(",".join))]),
+    "hypo": (["minimal", "all", "classify", "amh"],
+             [("--pos", "cxt"), ("--neg", "cxt"), ("--train", "training"),
+              ("--k", st.sampled_from(["0", "1", "2", "-1", "x"])),
+              ("--intent", _names.map(",".join)), ("--hyps", "family")]),
+    "dual": (["test", "brute", "dualize"],
+             [("--poset", "poset"), ("--a", "family"), ("--b", "family"), ("--oracle", None)]),
+    "reduce": (["sat2amh", "dci2mibr"],
+               [("--cnf", "cnf"), ("--context", "cxt"), ("--a", "family"), ("--b", "family"),
+                ("--base", "base")]),
+}
+
+
+@st.composite
+def _cli_call(draw):
+    """(argv, files, guard): the files are named in argv and written by the
+    test; guard is a LATTICE_DUAL_GUARD value or None."""
+    verb = draw(st.sampled_from(sorted(_VERBS)))
+    subverbs, options = _VERBS[verb]
+    argv = ["--strict-exit"] * draw(st.booleans()) + [verb, draw(st.sampled_from(subverbs))]
+    files = {}
+    for flag, value in options:
+        if not draw(st.integers(0, 7)):  # leave out one flag in eight
+            continue
+        if value is None:
+            argv.append(flag)
+        elif isinstance(value, str):
+            name = f"{flag[2:]}.{value}"
+            files[name] = draw(_FILES[value])
+            argv += [flag, name]
+        else:
+            argv += [flag, draw(value)]
+    return argv, files, draw(st.sampled_from([None, None, None, "0", "1", "-1", "x"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(call=_cli_call())
+def test_fuzz_main_keeps_its_exit_and_stdout_contract(tmp_path_factory, call):
+    """Whatever the files and flags, main returns 0, 2 or 3 (1 only under
+    --strict-exit) without raising, and prints nothing or one JSON document."""
+    argv, files, guard = call
+    directory = tmp_path_factory.getbasetemp() / "fuzz"  # each example rewrites its files
+    directory.mkdir(exist_ok=True)
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    argv = [str(directory / a) if a in files else a for a in argv]
+    # Patching os.environ copies it, so it is patched only when needed.
+    env = contextlib.nullcontext() if guard is None else mock.patch.dict(
+        os.environ, {"LATTICE_DUAL_GUARD": guard})
+    out, err = io.StringIO(), io.StringIO()
+    with env, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    strict = argv[0] == "--strict-exit"
+    event(f"{argv[strict]} exit {code}")
+    assert code in (0, 2, 3) or (code == 1 and strict), (argv, err.getvalue())
+    if out.getvalue():
+        assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n")
+        json.loads(out.getvalue())

@@ -327,6 +327,15 @@ def test_contranominal_rows_and_columns():
     assert c3.derive_attributes({"m1", "m2"}) == frozenset({"g3"})
 
 
+def test_contranominal_matches_boolean_matrix():
+    for n in range(1, 7):
+        objects = [f"g{i}" for i in range(1, n + 1)]
+        attributes = [f"m{i}" for i in range(1, n + 1)]
+        matrix = [[i != j for j in range(n)] for i in range(n)]
+        reference = FormalContext(objects, attributes, matrix)
+        assert write_cxt(contranominal_scale(n)) == write_cxt(reference)
+
+
 def test_contranominal_rejects_zero():
     with pytest.raises(ValueError):
         contranominal_scale(0)

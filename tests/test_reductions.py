@@ -25,6 +25,7 @@ from lattice_dual import (
     product_context,
     sat_to_amh,
     training_to_monotone,
+    write_cxt,
     write_dimacs,
 )
 
@@ -413,3 +414,36 @@ def test_product_concept_count_is_product_of_sizes():
         for lat in lats:
             expected *= len(lat.poset.elements)
         assert len(product_context(lats).concepts()) == expected
+
+
+def reference_product_context(lattices):
+    """The product context built name by name into a boolean matrix, the
+    reference for product_context, which packs each object's row."""
+    blocks = []
+    for idx, lat in enumerate(lattices):
+        joins, meets = irreducibles(lat)
+        gs = [e for e in lat.elements if e in joins]
+        ms = [e for e in lat.elements if e in meets]
+        blocks.append((idx, lat, gs, ms))
+    objects = [f"L{idx}:{g}" for idx, _, gs, _ in blocks for g in gs]
+    attributes = [f"L{idx}:{m}" for idx, _, _, ms in blocks for m in ms]
+    matrix = [
+        [gi != mi or lat_g.poset.leq(g, m) for mi, _, _, ms in blocks for m in ms]
+        for gi, lat_g, gs, _ in blocks
+        for g in gs
+    ]
+    return FormalContext(objects, attributes, matrix)
+
+
+def test_product_context_matches_name_level_reference():
+    rng = random.Random(199)
+    for _ in range(300):
+        lats = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                lats.append(chain_lattice(rng.randint(1, 4)))
+                continue
+            downsets = random_poset(rng, 4).all_downsets()
+            names = rng.sample(range(len(downsets)), len(downsets))  # any declaration order
+            lats.append(ExplicitLattice(names, [[x <= y for y in downsets] for x in downsets]))
+        assert write_cxt(product_context(lats)) == write_cxt(reference_product_context(lats))
