@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import reduce
+from itertools import filterfalse
 from operator import and_, or_
 
 from .poset import Poset, _is_downset
@@ -123,20 +124,23 @@ def _split(poset: Poset, universe: int, a: tuple, b: tuple, p: int) -> tuple:
     families are normalized back to antichains (minimal members on the
     A-side, maximal on the B-side), except the first B: each of its members
     is a downset containing p, so it contains down(p), and removing down(p)
-    keeps B's members distinct, incomparable and in sorted order.
+    keeps B's members distinct, incomparable and in sorted order.  Three
+    families are built by `map` or `filterfalse` over bound `int.__and__`
+    methods, with no Python step per member; the first B, which needs a
+    filter and a map, is faster as a list comprehension.
     """
     below = poset._down[p] & universe
     above = poset._up[p] & universe
     bit = 1 << p
     first = (
         universe & ~below,
-        minimal_masks([x & ~below for x in a]),
-        tuple(y & ~below for y in b if y & bit),
+        minimal_masks(map((~below).__and__, a)),
+        tuple([y & ~below for y in b if y & bit]),
     )
     second = (
         universe & ~above,
-        tuple(x for x in a if not x & bit),
-        maximal_masks([y & ~above for y in b]),
+        tuple(filterfalse(bit.__and__, a)),
+        maximal_masks(map((~above).__and__, b)),
     )
     return first, second
 
@@ -156,6 +160,23 @@ def decompose(inst: DualityInstance, p: str):
     )
 
 
+def _star(a: tuple, b: tuple) -> bool:
+    """Property (*) on masks: no member of a is a subset of a member of b.
+
+    The shorter family is looped over and the longer one scanned in C:
+    x lies in y exactly when x & y == x, and exactly when x & ~y == 0.
+    """
+    if len(a) <= len(b):
+        for x in a:
+            if x in map(x.__and__, b):
+                return False
+    else:
+        for y in b:
+            if 0 in map((~y).__and__, a):
+                return False
+    return True
+
+
 def _check(poset: Poset, universe: int, a: tuple, b: tuple, depth: int) -> None:
     """Invariants every subproblem must meet; a failure is a bug here.
 
@@ -166,7 +187,7 @@ def _check(poset: Poset, universe: int, a: tuple, b: tuple, depth: int) -> None:
     """
     if depth < 0:
         raise RuntimeError("duality recursion guard exceeded (normalization bug)")
-    if any(x & ~y == 0 for x in a for y in b):
+    if not _star(a, b):
         raise RuntimeError("subproblem lost property (*) (normalization bug)")
     if universe & poset._nonmin:
         downsets = all(_is_downset(poset, universe, m) for m in a + b)
@@ -205,13 +226,20 @@ def _pivot(poset: Poset, universe: int, a: tuple, b: tuple) -> int | None:
     B-member has frequency 1, the highest; when there is one, the first
     such is the pivot, and neither bound can reject since m * log_n >= 4.8
     (m >= 2, |A| + |B| >= 2).  Only otherwise are the members counted.
+
+    The m-scan walks the set bits itself, as `context._meet` does, instead
+    of listing them through util.bits.
     """
     down, up = poset._down, poset._up
     m, best = 2, universe & -universe
-    for i in bits(universe & (poset._nonmin | poset._nonmax)):
+    rest = universe & (poset._nonmin | poset._nonmax)
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
         score = (down[i] & universe).bit_count() + (up[i] & universe).bit_count()
         if score > m:
-            m, best = score, 1 << i
+            m, best = score, low
+        rest ^= low
     if m**3 > universe.bit_count():
         return best.bit_length() - 1
     full = universe & (reduce(and_, a) | ~reduce(or_, b))
@@ -286,6 +314,6 @@ def test_duality_stats(inst: DualityInstance):
     again from the memo counts its whole subtree again.
     """
     universe, a, b = _masks(inst)
-    if any(x & ~y == 0 for x in a for y in b):
+    if not _star(a, b):
         raise ValueError("property (*) violated")
     return _solve(inst.poset, universe, a, b)

@@ -11,7 +11,7 @@ being antichains by the helpers below.
 
 import os
 from bisect import bisect_left, bisect_right
-from itertools import compress, count
+from itertools import compress, count, filterfalse
 
 GUARD_ENV = "LATTICE_DUAL_GUARD"
 
@@ -117,25 +117,42 @@ class Codec:
     """A universe of pairwise distinct names, and the translation between
     sets of its names and bitmasks (bit i stands for names[i])."""
 
-    __slots__ = ("names", "index", "kind")
+    __slots__ = ("names", "index", "bit", "kind")
 
     def __init__(self, names, kind: str):
         self.names = tuple(names)
         self.index = {x: i for i, x in enumerate(self.names)}
+        self.bit = {x: 1 << i for x, i in self.index.items()}
         self.kind = kind
         if len(self.index) != len(self.names):
             raise ValueError(f"{kind} names must be pairwise distinct")
+
+    def _unknown(self, name) -> ValueError:
+        return ValueError(f"unknown {self.kind} name: {name!r}")
 
     def position(self, name) -> int:
         try:
             return self.index[name]
         except KeyError:
-            raise ValueError(f"unknown {self.kind} name: {name!r}") from None
+            raise self._unknown(name) from None
 
     def encode(self, names) -> int:
+        """The mask of the names, read once: one dict lookup per name.  Of
+        several unknown names the error names the least in `name_key` order,
+        so the message does not depend on the order of a set."""
+        bit = self.bit
         mask = 0
-        for x in names:
-            mask |= 1 << self.position(x)
+        names = iter(names)
+        try:
+            for x in names:
+                mask |= bit[x]
+        except KeyError:
+            unknown = [x, *filterfalse(bit.__contains__, names)]
+            try:
+                x = min(unknown, key=name_key)
+            except TypeError:  # names that do not compare: the first one read
+                pass
+            raise self._unknown(x) from None
         return mask
 
     def decode(self, mask: int) -> list:
@@ -160,6 +177,10 @@ def is_mask_antichain(family) -> bool:
     """No member contains another; a repeated member counts as contained."""
     if len(family) < 2:
         return True
+    if len(family) == 2:
+        # distinct, and neither inside the other
+        s, t = family
+        return bool(s & ~t and t & ~s)
     if len(set(family)) != len(family):
         return False
     # Distinct members of equal size are incomparable, so each member is
@@ -170,28 +191,45 @@ def is_mask_antichain(family) -> bool:
         return True
     sizes = list(map(int.bit_count, by_size))
     for s, size in zip(by_size, sizes[: bisect_left(sizes, sizes[-1])]):
-        larger = by_size[bisect_right(sizes, size):]
-        if any(s & ~t == 0 for t in larger):
+        # s lies in t exactly when s & t == s: the larger ones are scanned in C
+        if s in map(s.__and__, by_size[bisect_right(sizes, size):]):
             return False
     return True
 
 
 def minimal_masks(family) -> tuple:
-    """Subset-minimal masks, deduplicated, as a sorted tuple."""
+    """Subset-minimal masks, deduplicated, as a sorted tuple.
+
+    A proper subset is numerically smaller than its superset, so one pass in
+    ascending order keeps exactly the minimal members, already sorted.  The
+    empty mask lies in every member, so when present it alone is minimal.
+    """
     family = set(family)
     if 0 in family:
         return (0,)
+    if len(family) < 2:
+        return tuple(family)
     out = []
-    for s in sorted(family, key=int.bit_count):
-        if all(t & ~s for t in out):
+    for s in sorted(family):
+        for t in out:
+            if not t & ~s:
+                break
+        else:
             out.append(s)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def maximal_masks(family) -> tuple:
-    """Subset-maximal masks, deduplicated, as a sorted tuple."""
+    """Subset-maximal masks, deduplicated, as a sorted tuple: one pass in
+    descending order, as in `minimal_masks`."""
+    family = sorted(set(family), reverse=True)
+    if len(family) < 2:
+        return tuple(family)
     out = []
-    for s in sorted(set(family), key=int.bit_count, reverse=True):
-        if all(s & ~t for t in out):
+    for s in family:
+        for t in out:
+            if not s & ~t:
+                break
+        else:
             out.append(s)
-    return tuple(sorted(out))
+    return tuple(reversed(out))

@@ -98,20 +98,22 @@ def random_antichain(rng: random.Random, poset: Poset, max_size: int, side: str 
     return picked[:max_size]
 
 
-def random_instance(rng: random.Random, max_n: int, max_family: int) -> DualityInstance:
+def random_instance(rng: random.Random, max_n: int, max_family: int,
+                    min_n: int = 1) -> DualityInstance:
     """A random instance satisfying property (*), not necessarily dual."""
-    poset = random_poset(rng, max_n)
+    poset = random_poset(rng, max_n, min_n)
     fam_a = random_antichain(rng, poset, max_family, side="min")
     fam_b = [b for b in random_antichain(rng, poset, max_family, side="max")
              if not any(a <= b for a in fam_a)]
     return DualityInstance(poset, fam_a, fam_b)
 
 
-def planted_instance(rng: random.Random, max_n: int, max_family: int) -> DualityInstance:
+def planted_instance(rng: random.Random, max_n: int, max_family: int,
+                     min_n: int = 1) -> DualityInstance:
     """A dual instance: B is the exact dual of a random antichain A."""
     from lattice_dual import dualize_brute
 
-    poset = random_poset(rng, max_n)
+    poset = random_poset(rng, max_n, min_n)
     fam_a = random_antichain(rng, poset, max_family, side="min")
     fam_b = dualize_brute(fam_a, poset)
     return DualityInstance(poset, fam_a, fam_b)

@@ -441,6 +441,24 @@ def test_reduce_dci2mibr_unknown_base_attribute_exit_2(capsys, tmp_path):
     assert "outside the context" in err and "zz" in err
 
 
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_reduce_dci2mibr_names_the_least_unknown_attribute(tmp_path, hash_seed):
+    # The member is read as a set, whose order follows the string hash; the
+    # message names the least unknown name whatever that order is.
+    (tmp_path / "ctx.cxt").write_text("B\n\n2\n2\n\ng1\ng2\nm1\nm2\n.X\nX.\n")
+    (tmp_path / "a.json").write_text("[]")
+    (tmp_path / "b.json").write_text(json.dumps([["c", "a", "e", "b", "d"]]))
+    (tmp_path / "base.json").write_text("[]")
+    result = subprocess.run(
+        [sys.executable, "-m", "lattice_dual", "reduce", "dci2mibr", "--context", "ctx.cxt",
+         "--a", "a.json", "--b", "b.json", "--base", "base.json"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed},
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: unknown attribute name: 'a'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -400,6 +400,80 @@ def test_check_accepts_a_good_subproblem():
     _check(FLAT5, 0b00110, (), (), 0)
 
 
+# -- exactness: verdicts and node counts pinned --------------------------------
+
+
+def pinned_instances():
+    """The k = 2..8 matchings, each followed by its near-dual twins lacking the
+    first, the middle or the last B-member; then for each seed 0..99 a planted
+    and a random instance on 10-14 elements."""
+    for k in range(2, 9):
+        poset, fam_a, fam_b = matching_instance(k)
+        yield DualityInstance(poset, fam_a, fam_b)
+        for drop in (0, len(fam_b) // 2, -1):
+            twin = list(fam_b)
+            del twin[drop]
+            yield DualityInstance(poset, fam_a, twin)
+    for seed in range(100):
+        yield planted_instance(random.Random(seed), 14, 10, min_n=10)
+        yield random_instance(random.Random(seed), 14, 10, min_n=10)
+
+
+# (dual, nodes) of each pinned instance, recorded before the node-level
+# rewrites of `_split`, `_check`, `_pivot` and the mask normalisers.
+PINNED_MATCHINGS = [
+    (True, 19), (False, 5), (False, 11), (False, 14),
+    (True, 61), (False, 8), (False, 28), (False, 37),
+    (True, 187), (False, 11), (False, 11), (False, 40),
+    (True, 563), (False, 14), (False, 14), (False, 43),
+    (True, 1673), (False, 17), (False, 17), (False, 46),
+    (True, 4777), (False, 20), (False, 20), (False, 49),
+    (True, 12633), (False, 23), (False, 23), (False, 52),
+]
+PINNED_SEEDED = [
+    (True, 13), (False, 1), (True, 1), (False, 1), (True, 1), (True, 1),
+    (True, 77), (False, 10), (True, 19), (False, 7), (True, 37), (False, 1),
+    (True, 51), (False, 1), (True, 21), (False, 1), (True, 65), (False, 1),
+    (True, 13), (False, 1), (True, 29), (False, 1), (True, 1), (False, 1),
+    (True, 95), (False, 1), (True, 73), (False, 1), (True, 77), (False, 1),
+    (True, 29), (False, 1), (True, 65), (False, 5), (True, 21), (False, 1),
+    (True, 41), (False, 1), (True, 93), (False, 1), (True, 13), (False, 1),
+    (True, 37), (False, 1), (True, 67), (False, 1), (True, 1), (True, 1),
+    (True, 13), (False, 1), (True, 143), (False, 5), (True, 35), (False, 1),
+    (True, 1), (True, 1), (True, 23), (False, 1), (True, 17), (False, 1),
+    (True, 81), (False, 15), (True, 13), (False, 1), (True, 27), (False, 1),
+    (True, 191), (False, 7), (True, 45), (False, 1), (True, 115), (False, 10),
+    (True, 27), (False, 1), (True, 29), (False, 1), (True, 1), (False, 1),
+    (True, 73), (False, 1), (True, 65), (False, 8), (True, 15), (False, 1),
+    (True, 7), (False, 1), (True, 33), (False, 1), (True, 23), (False, 1),
+    (True, 1), (True, 1), (True, 17), (False, 1), (True, 19), (False, 1),
+    (True, 185), (False, 3), (True, 45), (False, 1), (True, 83), (False, 1),
+    (True, 1), (False, 1), (True, 55), (False, 1), (True, 37), (False, 19),
+    (True, 71), (False, 6), (True, 23), (False, 1), (True, 145), (False, 11),
+    (True, 1), (False, 1), (True, 1), (False, 1), (True, 69), (False, 8),
+    (True, 29), (False, 1), (True, 19), (False, 6), (True, 15), (False, 1),
+    (True, 27), (False, 1), (True, 31), (False, 1), (True, 51), (False, 6),
+    (True, 7), (True, 7), (True, 1), (True, 1), (True, 27), (False, 5),
+    (True, 15), (False, 7), (True, 75), (False, 7), (True, 3), (False, 1),
+    (True, 85), (False, 1), (True, 1), (False, 1), (True, 71), (False, 1),
+    (True, 73), (False, 7), (True, 11), (False, 1), (True, 65), (False, 1),
+    (True, 33), (False, 1), (True, 49), (False, 7), (True, 3), (False, 1),
+    (True, 89), (False, 1), (True, 1), (False, 1), (True, 69), (False, 5),
+    (True, 31), (False, 4), (True, 7), (False, 1), (True, 215), (False, 1),
+    (True, 57), (False, 7), (True, 37), (False, 1), (True, 1), (True, 1),
+    (True, 69), (False, 5), (True, 101), (False, 3), (True, 83), (False, 1),
+    (True, 15), (False, 1), (True, 75), (False, 7), (True, 109), (False, 1),
+    (True, 31), (False, 18), (True, 1), (True, 1), (True, 23), (False, 1),
+    (True, 57), (False, 10),
+]
+
+
+def test_verdicts_and_node_counts_are_pinned():
+    assert [duality_test_stats(inst) for inst in pinned_instances()] == (
+        PINNED_MATCHINGS + PINNED_SEEDED
+    )
+
+
 # -- property-based agreement with the oracle -------------------------------------
 
 

@@ -17,6 +17,7 @@ from lattice_dual import (
     minimal_members,
     minvals_to_training,
 )
+from lattice_dual.duality import _star
 from lattice_dual.util import (
     Codec,
     bits,
@@ -72,10 +73,38 @@ def test_decode_drops_bits_beyond_the_universe():
 
 
 def test_codec_rejects_unknown_and_repeated_names():
-    with pytest.raises(ValueError, match="unknown element name: 'zz'"):
+    with pytest.raises(ValueError) as raised:
         UNIVERSE.encode(["e1", "zz"])
+    assert str(raised.value) == "unknown element name: 'zz'"
     with pytest.raises(ValueError, match="attribute names must be pairwise distinct"):
         Codec(["m1", "m1"], "attribute")
+
+
+def test_encode_reads_a_generator_once():
+    names = (x for x in ["e3", "e1", "e3"])
+    assert UNIVERSE.encode(names) == 0b1010
+    assert next(names, None) is None
+
+
+def test_encode_names_the_least_unknown_name():
+    # the names after the first unknown one come from the same generator
+    names = (x for x in ["e1", "zz", "e2", "aa", "b"])
+    with pytest.raises(ValueError) as raised:
+        UNIVERSE.encode(names)
+    assert str(raised.value) == "unknown element name: 'aa'"
+    with pytest.raises(ValueError) as raised:
+        Codec([0, 1], "element").encode({"c", 7, "a", 5.5})
+    assert str(raised.value) == "unknown element name: 5.5"
+    # names that do not compare: the first one read
+    with pytest.raises(ValueError) as raised:
+        Codec([0, 1], "element").encode([0, None, 7])
+    assert str(raised.value) == "unknown element name: None"
+
+
+def test_encode_takes_equal_spellings_and_rejects_unhashable_names():
+    assert Codec([0, 1, 2], "element").encode([1.0]) == 0b10
+    with pytest.raises(TypeError):
+        UNIVERSE.encode([["e1"]])
 
 
 def reference_transpose(masks, n):
@@ -140,6 +169,101 @@ def test_mask_helpers_agree_with_the_frozenset_references(family, lazy):
     assert set(map(codec.members, minimal_masks(candidates()))) == set(minimal_members(sets))
     assert set(map(codec.members, maximal_masks(candidates()))) == set(maximal_members(sets))
     assert is_mask_antichain(family) == is_antichain(sets)
+
+
+# -- the mask helpers against pairwise references ------------------------------
+
+
+def reference_minimal(family) -> tuple:
+    family = set(family)
+    return tuple(sorted(s for s in family if not any(t != s and t & ~s == 0 for t in family)))
+
+
+def reference_maximal(family) -> tuple:
+    family = set(family)
+    return tuple(sorted(s for s in family if not any(t != s and s & ~t == 0 for t in family)))
+
+
+def reference_antichain(family) -> bool:
+    return not any(
+        i != j and s & ~t == 0 for i, s in enumerate(family) for j, t in enumerate(family)
+    )
+
+
+def reference_star(a, b) -> bool:
+    return not any(x & ~y == 0 for x in a for y in b)
+
+
+SHAPES = ("any", "zero", "repeated", "chain", "one-size", "small")
+
+
+@st.composite
+def mask_families(draw, width=8):
+    """A list of masks over `width` bits, of a drawn shape: any, one with a 0
+    member, one with a repeated member, a nested chain with a few others,
+    one whose members all have one size, or one of 0-2 members."""
+    shape = draw(st.sampled_from(SHAPES))
+    members = st.integers(0, 2**width - 1)
+    if shape == "small":
+        return draw(st.lists(members, max_size=2))
+    family = draw(st.lists(members, max_size=8))
+    if shape == "zero":
+        family.insert(draw(st.integers(0, len(family))), 0)
+    elif shape == "repeated":
+        family.append(draw(st.sampled_from(family)) if family else 0)
+        family.append(family[-1])
+    elif shape == "chain":
+        link = 0
+        for low in draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=width)):
+            link |= 1 << low
+            family.append(link)
+    elif shape == "one-size":
+        size = draw(st.integers(0, width))
+        family = [
+            sum(1 << i for i in picked)
+            for picked in draw(st.lists(st.sets(st.integers(0, width - 1), min_size=size,
+                                                max_size=size), max_size=8))
+        ]
+    return draw(st.permutations(family))
+
+
+@given(mask_families(), st.booleans())
+@example([5, 0, 3, 0], True)
+@example([0b0110, 0b0110, 0b0001], True)
+@example([0b1, 0b11, 0b111, 0b1000], False)
+@example([0b0011, 0b0101, 0b1001, 0b0110], True)
+@example([], True)
+@example([0b1], True)
+@example([0b1, 0b10], False)
+def test_mask_normalisers_match_the_pairwise_references(family, one_shot):
+    def candidates():
+        return iter(family) if one_shot else family
+
+    assert minimal_masks(candidates()) == reference_minimal(family)
+    assert maximal_masks(candidates()) == reference_maximal(family)
+
+
+@given(mask_families())
+@example([5, 0, 3])
+@example([0b0110, 0b0110])
+@example([0b0110, 0b0110, 0b0001])
+@example([0b1, 0b11])
+@example([0b0011, 0b0101, 0b1001])
+@example([])
+@example([0b1010])
+def test_mask_antichain_test_matches_the_pairwise_reference(family):
+    assert is_mask_antichain(family) == reference_antichain(family)
+    assert is_mask_antichain(tuple(family)) == reference_antichain(family)
+
+
+@given(mask_families(), mask_families())
+@example([0], [])
+@example([0b01, 0b10], [0b11])
+@example([0b11], [0b01, 0b10, 0b11])
+@example([0b100, 0b011], [0b101, 0b110, 0b010])
+def test_star_matches_the_pairwise_reference(a, b):
+    assert _star(tuple(a), tuple(b)) == reference_star(a, b)
+    assert _star(tuple(b), tuple(a)) == reference_star(b, a)
 
 
 def test_pack_moves_the_kept_bits_down_in_order():
