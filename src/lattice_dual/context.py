@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .util import Codec, check_guard, flag_mask, name_key, pack, transpose
+from .util import Codec, check_guard, closed_masks, flag_mask, name_key, pack, transpose
 
 CONCEPTS_GUARD = 25
 _DIMENSIONS = "incidence dimensions do not match object/attribute counts"
@@ -185,34 +185,6 @@ def _meet(vectors, n: int, mask: int) -> int:
         out &= vectors[low.bit_length() - 1]
         mask ^= low
     return out
-
-
-def closed_masks(n: int, extend, start, prune=None):
-    """Close-by-One: every closed set over n attributes, once, in lectic
-    order (of two sets, the one holding the first attribute where they
-    differ comes later).
-
-    Each closed set carries a state to its children.  `start` is the least
-    closed set with its state, and extend(state, b | 1<<j, j) returns the
-    closure of b | 1<<j with its own state, given b's state.  A set b
-    reached at attribute y has children for j >= y not in b, kept when they
-    add nothing below j; they are pushed in ascending j, so the pre-order is
-    lectic.  A set for which prune(b) holds is yielded but not expanded;
-    prune(b) is called only after the consumer has received b.
-    """
-    stack = [(*start, 0)]
-    while stack:
-        b, state, y = stack.pop()
-        yield b
-        if prune is not None and prune(b):
-            continue
-        for j in range(y, n):
-            bit = 1 << j
-            if b & bit:
-                continue
-            c, child = extend(state, b | bit, j)
-            if not (c & ~b) & (bit - 1):
-                stack.append((c, child, j + 1))
 
 
 def contranominal_scale(n: int) -> FormalContext:

@@ -19,7 +19,7 @@ from itertools import filterfalse
 from operator import and_, or_
 
 from .poset import Poset, _is_downset
-from .util import bits, family_key, is_mask_antichain, maximal_masks, minimal_masks
+from .util import _star, bits, family_key, is_mask_antichain, maximal_masks, minimal_masks
 
 # Slack applied only on the early-reject side of the frequency thresholds:
 # borderline values are treated as passing, so a false "not dual" is never
@@ -109,11 +109,20 @@ def brute_force_dual(inst: DualityInstance) -> DualityVerdict:
 
 
 def dualize_brute(a_family, poset: Poset) -> list:
-    """The dual antichain: maximal downsets containing no A-member (guarded)."""
+    """The dual antichain: maximal downsets containing no A-member (guarded).
+
+    The enumeration is pruned at every downset holding an A-member: each
+    downset the engine reaches below it holds that member too.
+    """
     codec = poset._codec
     # An A-member naming an element outside the poset lies in no downset.
     a_masks = [codec.encode(s) for s in map(frozenset, a_family) if s <= codec.index.keys()]
-    free = [x for x in poset._downset_masks() if not any(a & ~x == 0 for a in a_masks)]
+
+    def covered(x: int) -> bool:
+        """Some A-member lies in x: A and {x} lack property (*)."""
+        return not _star(a_masks, (x,))
+
+    free = [x for x in poset._downset_masks(covered) if not covered(x)]
     return codec.family(maximal_masks(free))
 
 
@@ -158,23 +167,6 @@ def decompose(inst: DualityInstance, p: str):
         DualityInstance(poset.restrict(members(universe)), map(members, a), map(members, b))
         for universe, a, b in halves
     )
-
-
-def _star(a: tuple, b: tuple) -> bool:
-    """Property (*) on masks: no member of a is a subset of a member of b.
-
-    The shorter family is looped over and the longer one scanned in C:
-    x lies in y exactly when x & y == x, and exactly when x & ~y == 0.
-    """
-    if len(a) <= len(b):
-        for x in a:
-            if x in map(x.__and__, b):
-                return False
-    else:
-        for y in b:
-            if 0 in map((~y).__and__, a):
-                return False
-    return True
 
 
 def _check(poset: Poset, universe: int, a: tuple, b: tuple, depth: int) -> None:

@@ -5,8 +5,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .context import CONCEPTS_GUARD, FormalContext, _row_mask, _row_text, closed_masks
-from .util import check_guard, is_name_list, name_key
+from .context import CONCEPTS_GUARD, FormalContext, _row_mask, _row_text
+from .util import check_guard, closed_masks, is_name_list, name_key
 
 
 class TrainingContext(namedtuple("TrainingContext", "positive negative")):

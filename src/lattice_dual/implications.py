@@ -6,9 +6,11 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .context import FormalContext, closed_masks
+from .context import FormalContext
 from .poset import Poset
-from .util import Codec, check_guard, is_mask_antichain, is_name_list, name_key
+from .util import (
+    Codec, _star, check_guard, closed_masks, is_mask_antichain, is_name_list, name_key
+)
 
 IS_BASE_GUARD = 18
 
@@ -111,7 +113,7 @@ def dci_to_mibr(ctx: FormalContext, a_family, b_family, imps):
     a_masks, b_masks = masks[: len(a_family)], masks[len(a_family) :]
     if not (is_mask_antichain(a_masks) and is_mask_antichain(b_masks)):
         raise ValueError("A and B must be antichains")
-    if any(a & ~b == 0 for a in a_masks for b in b_masks):
+    if not _star(a_masks, b_masks):
         raise ValueError("property (*) violated")
     if not is_base(ctx, imps):
         raise ValueError("the given implication set is not a base of the context")

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .util import Codec, bits, check_guard, flag_mask, is_name_list, name_key, pack, transpose
+from .util import (
+    Codec, bits, check_guard, closed_masks, flag_mask, is_name_list, name_key, pack, transpose
+)
 
 DOWNSETS_GUARD = 20
 
@@ -164,33 +166,16 @@ class Poset:
 
     def all_downsets(self) -> list:
         """Every downset exactly once, in the family order (brute-force
-        oracle, guarded).
-
-        Enumerates by element inclusion along a linear extension, not by
-        powerset filtering.
-        """
+        oracle, guarded)."""
         return self._codec.family(self._downset_masks())
 
-    def _downset_masks(self) -> list:
-        """Every downset as a mask, in no particular order (guarded).
-
-        Depth-first along a linear extension on an explicit stack: each
-        element is left out in place, and the branch that takes it (when
-        everything strictly below it is taken) is pushed for later.
-        """
+    def _downset_masks(self, prune=None):
+        """Every downset as a mask, in lectic order; guarded at the call.
+        For a downset x, x | down(j) is the least downset holding x and j,
+        so the downsets are closed sets, listed by the engine with `prune`."""
         check_guard(len(self.elements), DOWNSETS_GUARD, "downset enumeration")
         down = self._down
-        order = sorted(range(len(down)), key=lambda i: down[i].bit_count())
-        out = []
-        stack = [(0, 0)]
-        while stack:
-            k, mask = stack.pop()
-            for k in range(k, len(order)):
-                i = order[k]
-                if not down[i] & ~mask & ~(1 << i):
-                    stack.append((k + 1, mask | 1 << i))
-            out.append(mask)
-        return out
+        return closed_masks(len(down), lambda _, x, j: (x | down[j], None), (0, None), prune)
 
     def restrict(self, keep: Iterable[str]) -> "Poset":
         """Induced subposet, preserving declaration order."""

@@ -1,13 +1,14 @@
-"""Shared plumbing: size guards, and the codec between names and bitmasks.
+"""Shared plumbing: size guards, the codec between names and bitmasks, and
+the one closed-set engine.
 
 Inside the library a set is an integer bitmask over a fixed universe of
 names: bit i stands for the i-th name.  Names are translated at the API
 and CLI boundary only, by a `Codec`; a row of truth values becomes a mask
 by `flag_mask`, and a JSON list of names is checked by `is_name_list`.
 Names are listed in one order, `name_key`, and families of masks in one
-order, `family_key`; families are minimised, maximised and checked for
-being antichains by the helpers below.
-"""
+order, `family_key`; families are minimised, maximised, checked for being
+antichains and tested for property (*) by the helpers below.  Closed sets,
+downsets included, are all listed by Close-by-One, `closed_masks`."""
 
 import os
 from bisect import bisect_left, bisect_right
@@ -108,9 +109,15 @@ def is_name_list(doc, types) -> bool:
 
 
 def name_key(name) -> tuple:
-    """The one order of names: numbers before strings, so that the mixed
-    names poset JSON allows compare."""
-    return isinstance(name, str), name
+    """The one order of names, total over any names: numbers, then strings,
+    then every other name by its type's name and then its repr."""
+    from numbers import Real
+
+    if isinstance(name, Real):
+        return 0, name
+    if isinstance(name, str):
+        return 1, name
+    return 2, type(name).__name__, repr(name)
 
 
 class Codec:
@@ -148,11 +155,7 @@ class Codec:
                 mask |= bit[x]
         except KeyError:
             unknown = [x, *filterfalse(bit.__contains__, names)]
-            try:
-                x = min(unknown, key=name_key)
-            except TypeError:  # names that do not compare: the first one read
-                pass
-            raise self._unknown(x) from None
+            raise self._unknown(min(unknown, key=name_key)) from None
         return mask
 
     def decode(self, mask: int) -> list:
@@ -233,3 +236,51 @@ def maximal_masks(family) -> tuple:
         else:
             out.append(s)
     return tuple(reversed(out))
+
+
+def _star(a, b) -> bool:
+    """Property (*) on masks: no member of a is a subset of a member of b.
+
+    The shorter family is looped over and the longer one scanned in C:
+    x lies in y exactly when x & y == x, and exactly when x & ~y == 0.
+    """
+    if len(a) <= len(b):
+        for x in a:
+            if x in map(x.__and__, b):
+                return False
+    else:
+        for y in b:
+            if 0 in map((~y).__and__, a):
+                return False
+    return True
+
+
+# -- the closed-set engine ---------------------------------------------
+
+
+def closed_masks(n: int, extend, start, prune=None):
+    """Close-by-One: every closed set over n attributes, once, in lectic
+    order (of two sets, the one holding the first attribute where they
+    differ comes later).
+
+    Each closed set carries a state to its children.  `start` is the least
+    closed set with its state, and extend(state, b | 1<<j, j) returns the
+    closure of b | 1<<j with its own state, given b's state.  A set b
+    reached at attribute y has children for j >= y not in b, kept when they
+    add nothing below j; they are pushed in ascending j, so the pre-order is
+    lectic.  A set for which prune(b) holds is yielded but not expanded;
+    prune(b) is called only after the consumer has received b.
+    """
+    stack = [(*start, 0)]
+    while stack:
+        b, state, y = stack.pop()
+        yield b
+        if prune is not None and prune(b):
+            continue
+        for j in range(y, n):
+            bit = 1 << j
+            if b & bit:
+                continue
+            c, child = extend(state, b | bit, j)
+            if not (c & ~b) & (bit - 1):
+                stack.append((c, child, j + 1))

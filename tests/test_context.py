@@ -20,7 +20,8 @@ from lattice_dual import (
 )
 
 from lattice_dual import context
-from lattice_dual.context import _row_mask, closed_masks
+from lattice_dual.context import _row_mask
+from lattice_dual.util import closed_masks
 
 from conftest import random_context, random_poset
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lattice_dual import (
     DualityInstance,
+    GuardExceeded,
     brute_force_dual,
     check_star,
     decompose,
@@ -22,6 +23,7 @@ from lattice_dual import (
 )
 from lattice_dual import test_duality as duality_test
 from lattice_dual import test_duality_stats as duality_test_stats
+from lattice_dual import poset as poset_layer
 from lattice_dual.duality import _THRESHOLD_SLACK, _check, _counts, _masks, _pivot, _split
 from lattice_dual.util import Codec, bits, maximal_masks
 
@@ -148,6 +150,56 @@ def test_dualize_examples():
     }
     assert dualize_brute([set()], ANTI2) == []
     assert dualize_brute([], ANTI2) == [frozenset({"p1", "p2"})]
+
+
+def unpruned_dualize(a_family, poset) -> list:
+    """Every downset, those holding no A-member, then the maximal ones."""
+    a_family = list(map(frozenset, a_family))
+    free = [x for x in poset.all_downsets() if not any(a <= x for a in a_family)]
+    return [x for x in free if not any(x < y for y in free)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=15)
+    if n else st.just([]),
+    # index n stands for a name outside the poset
+    st.lists(st.sets(st.integers(0, n), max_size=4), max_size=6),
+)))
+def test_dualize_agrees_with_the_unpruned_enumeration(case):
+    n, pairs, members = case
+    names = [f"p{i}" for i in range(n)] + ["zz"]
+    pairs = [(names[min(e)], names[max(e)]) for e in pairs if e[0] != e[1]]
+    poset = poset_from_pairs(names[:n], pairs)
+    drawn = [{names[i] for i in m} for m in members]
+    for fam_a in (drawn, [], [set()], [{"zz"}]):
+        assert dualize_brute(fam_a, poset) == unpruned_dualize(fam_a, poset)
+
+
+def test_dualize_prunes_below_every_a_member(monkeypatch):
+    # k = 6 matching: the 3^6 = 729 downsets that hold no pair are expanded;
+    # the other 364 yielded each complete a pair and are not expanded.
+    yielded = []
+    engine = poset_layer.closed_masks
+
+    def counting(*args):
+        for x in engine(*args):
+            yielded.append(x)
+            yield x
+
+    monkeypatch.setattr(poset_layer, "closed_masks", counting)
+    poset, fam_a, fam_b = matching_instance(6)
+    assert set(dualize_brute(fam_a, poset)) == set(map(frozenset, fam_b))
+    assert len(yielded) == 1093 < 2**12
+
+
+def test_dualize_guard_raises_before_any_downset_is_listed():
+    anti21 = poset_from_pairs([f"p{i}" for i in range(21)], [])
+    with pytest.raises(GuardExceeded):
+        anti21._downset_masks()
+    with pytest.raises(GuardExceeded):
+        dualize_brute([], anti21)
 
 
 def test_dualize_output_is_dual_antichain():

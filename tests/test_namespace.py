@@ -153,6 +153,8 @@ def verb_calls(tmp_path):
         "ctx": ["ctx", "concepts", "--context", str(c3)],
         "hypo": ["hypo", "minimal", "--pos", str(pos), "--neg", str(neg)],
         "dual": ["dual", "test", "--poset", str(poset), "--a", str(a), "--b", str(b)],
+        "dualize": ["dual", "dualize", "--poset", str(poset), "--a", str(a)],
+        "brute": ["dual", "brute", "--poset", str(poset), "--a", str(a), "--b", str(b)],
         "reduce": ["reduce", "sat2amh", "--cnf", str(cnf)],
         "usage": ["dual", "frobnicate"],
         "help": ["--help"],
@@ -168,6 +170,9 @@ def verb_calls(tmp_path):
         ("reduce", 0, ["context", "hypotheses", "implications", "poset", "reductions"]),
         ("usage", 2, []),
         ("help", 0, []),
+        # the brute-force paths enumerate downsets without the context layer
+        ("dualize", 0, ["duality", "poset"]),
+        ("brute", 0, ["duality", "poset"]),
     ],
 )
 def test_verb_loads_only_its_layers(verb_calls, verb, exit_code, layers):

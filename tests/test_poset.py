@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lattice_dual import (
     GuardExceeded,
     Poset,
+    contraordinal_context,
     freq,
     freq_complement,
     is_antichain,
@@ -186,6 +187,33 @@ def test_all_downsets_lattice_closure():
             assert x & y in family
 
 
+def test_downsets_are_the_contraordinal_intents_in_lectic_order():
+    # a < b and a lone c: {c} (mask 4) comes before {a} (mask 1), and {a, c}
+    # before {a, b}
+    p = poset_from_pairs(["a", "b", "c"], [("a", "b")])
+    assert list(p._downset_masks()) == [0, 4, 1, 5, 3, 7]
+    for n in range(10):
+        names = [f"p{i}" for i in range(1, n + 1)]
+        top_down = poset_from_pairs(names[::-1], list(zip(names, names[1:])))
+        for p in (chain(n), top_down, antichain_poset(n)):
+            assert list(p._downset_masks()) == contraordinal_context(p).intent_masks()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20)
+    if n else st.just([]),
+)))
+def test_downset_masks_equal_the_contraordinal_intents_list_for_list(case):
+    # Pairs run from a smaller to a larger rank, so they never close a
+    # cycle; the permutation declares the ranks in any order.
+    order, pairs = case
+    names = [f"p{i}" for i in order]
+    p = poset_from_pairs(names, [(f"p{min(i, j)}", f"p{max(i, j)}") for i, j in pairs if i != j])
+    assert list(p._downset_masks()) == contraordinal_context(p).intent_masks()
+
+
 def test_all_downsets_guard():
     with pytest.raises(GuardExceeded):
         chain(21).all_downsets()
@@ -281,6 +309,8 @@ def test_members_of_mixed_name_types():
     family = [{"a"}, {1}, {1, "a"}, {2.5}]
     assert minimal_members(family) == [frozenset({1}), frozenset({2.5}), frozenset({"a"})]
     assert maximal_members(family) == [frozenset({2.5}), frozenset({1, "a"})]
+    # names that do not compare with each other are ordered all the same
+    assert minimal_members([{None}, {1}]) == [frozenset({1}), frozenset({None})]
 
 
 def test_minimal_members_empty():

@@ -17,9 +17,9 @@ from lattice_dual import (
     minimal_members,
     minvals_to_training,
 )
-from lattice_dual.duality import _star
 from lattice_dual.util import (
     Codec,
+    _star,
     bits,
     family_key,
     is_mask_antichain,
@@ -95,10 +95,10 @@ def test_encode_names_the_least_unknown_name():
     with pytest.raises(ValueError) as raised:
         Codec([0, 1], "element").encode({"c", 7, "a", 5.5})
     assert str(raised.value) == "unknown element name: 5.5"
-    # names that do not compare: the first one read
+    # names that do not compare with each other still have a least one
     with pytest.raises(ValueError) as raised:
         Codec([0, 1], "element").encode([0, None, 7])
-    assert str(raised.value) == "unknown element name: None"
+    assert str(raised.value) == "unknown element name: 7"
 
 
 def test_encode_takes_equal_spellings_and_rejects_unhashable_names():
@@ -278,6 +278,8 @@ def test_pack_moves_the_kept_bits_down_in_order():
 
 def test_name_key_puts_numbers_before_strings():
     assert sorted(["b", 2, "a", 1.5, 0], key=name_key) == [0, 1.5, 2, "a", "b"]
+    # any other name comes last, by its type's name and then its repr
+    assert sorted([(2,), None, "a", (1,), 3], key=name_key) == [3, "a", None, (1,), (2,)]
 
 
 # Names 1 and "a" together, so a bare `sorted` of names would compare an int
@@ -292,6 +294,8 @@ SPLIT = TrainingContext(
     FormalContext.from_intents(["n"], MIXED, [set()]),
 )
 MIXED_OBJECTS = FormalContext.from_intents([1, "a"], MIXED, [set(), set()])
+# Objects None and 1, which do not compare with each other.
+UNORDERED_OBJECTS = FormalContext.from_intents([None, 1], MIXED, [set(), set()])
 NOT_AN_INTENT = "[1, 'a'] is not an intent of the context"
 
 
@@ -317,8 +321,31 @@ NOT_AN_INTENT = "[1, 'a'] is not an intent of the context"
         ),
         (lambda: minvals_to_training(LOCKED, [{"a", 1}]), NOT_AN_INTENT),
         (lambda: dci_to_mibr(LOCKED, [{"a", 1}], [], []), NOT_AN_INTENT),
+        (
+            lambda: Poset.from_pairs(["a"], []).restrict([None, 1]),
+            "unknown element names: [1, None]",
+        ),
+        (
+            lambda: FormalContext.from_intents(["g"], ["a"], [{None, 1}]),
+            "unknown attributes in intent: [1, None]",
+        ),
+        (
+            lambda: TrainingContext(UNORDERED_OBJECTS, UNORDERED_OBJECTS),
+            "object names shared between sides: [1, None]",
+        ),
     ],
-    ids=["restrict", "from_intents", "training", "first_new", "dci_base", "minvals", "dci_intent"],
+    ids=[
+        "restrict",
+        "from_intents",
+        "training",
+        "first_new",
+        "dci_base",
+        "minvals",
+        "dci_intent",
+        "restrict_unordered",
+        "from_intents_unordered",
+        "training_unordered",
+    ],
 )
 def test_messages_list_mixed_names_in_the_name_order(call, message):
     with pytest.raises(ValueError) as raised:
