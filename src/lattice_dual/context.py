@@ -127,35 +127,45 @@ class FormalContext:
         memo holds at most one intent per concept.
         """
         rows, cols, n = self._rows, self._cols, len(self._cols)
+        full = (1 << n) - 1
         failed = {}
 
-        def extend(extent, b, j):
-            extent &= cols[j]
-            c = failed.get(extent)
-            if c is None:
-                c = _meet(rows, n, extent)
-                if c & ~b & ((1 << j) - 1):
-                    failed[extent] = c
-            return c, extent
+        def children(b, extent, y):
+            out = []
+            outside = ~b
+            free = full & outside >> y << y
+            while free:
+                bit = free & -free
+                free ^= bit
+                j = bit.bit_length() - 1
+                e = extent & cols[j]
+                c = failed.get(e)
+                if c is None:
+                    c = _meet(rows, n, e)
+                    if c & outside & (bit - 1):
+                        failed[e] = c
+                        continue
+                elif c & outside & (bit - 1):
+                    continue
+                out.append((c, e, j + 1))
+            return out
 
         everything = (1 << len(rows)) - 1
-        return extend, (_meet(rows, n, everything), everything)
+        return children, (_meet(rows, n, everything), everything)
 
     def intent_masks(self) -> list:
         """All closed attribute masks, in lectic order."""
         check_guard(len(self.attributes), CONCEPTS_GUARD, "concept enumeration")
-        return list(closed_masks(len(self.attributes), *self._extent_step()))
+        return list(closed_masks(*self._extent_step()))
 
     def intents(self) -> list:
-        return [self._acodec.members(m) for m in self.intent_masks()]
+        return self._acodec.sets(self.intent_masks())
 
     def concepts(self) -> list:
         """All formal concepts (guarded enumeration oracle)."""
-        members = self._ocodec.members
-        return [
-            Concept(members(self._extent_amask(b)), self._acodec.members(b))
-            for b in self.intent_masks()
-        ]
+        intents = self.intent_masks()
+        extents = self._ocodec.sets(map(self._extent_amask, intents))
+        return list(map(Concept, extents, self._acodec.sets(intents)))
 
     def __eq__(self, other):
         return (
@@ -197,33 +207,33 @@ def contranominal_scale(n: int) -> FormalContext:
     return FormalContext._from_rows(objects, attributes, [full & ~(1 << i) for i in range(n)])
 
 
-def _reducible_index(vectors, full):
-    """Index of the first vector equal to the intersection of the other
-    vectors containing it (the empty intersection counting as the full set),
-    or None."""
-    for i, v in enumerate(vectors):
+def _irreducible(vectors, full: int) -> list:
+    """Positions of the vectors to keep, ascending: the last of each group of
+    equal vectors, and of the distinct vectors each that differs from the
+    AND of the vectors strictly containing it (the full mask when there are
+    none).  O(n^2) mask operations."""
+    last = {v: i for i, v in enumerate(vectors)}
+    keep = []
+    for v, i in last.items():
         inter = full
-        for j, w in enumerate(vectors):
-            if j != i and w & v == v:
+        for w in last:
+            if w & v == v and w != v:
                 inter &= w
-        if inter == v:
-            return i
-    return None
+        if inter != v:
+            keep.append(i)
+    return sorted(keep)
 
 
 def reduce_context(ctx: FormalContext) -> FormalContext:
     """Strip reducible objects, then reducible attributes: one pass per side.
 
     Removing a reducible object or attribute leaves the concept lattice
-    unchanged, so it makes no other one reducible.  Of equal rows (columns)
-    only the last is kept.
+    unchanged, so it makes no other one reducible: each side's verdicts are
+    taken at once.  Of equal rows (columns) only the last is kept.
     """
-    objs = list(range(len(ctx.objects)))
-    atts = list(range(len(ctx.attributes)))
-    for keep, other, vectors in ((objs, atts, ctx._rows), (atts, objs, ctx._cols)):
-        full = sum(1 << k for k in other)
-        while (i := _reducible_index([vectors[k] & full for k in keep], full)) is not None:
-            del keep[i]
+    objs = _irreducible(ctx._rows, (1 << len(ctx.attributes)) - 1)
+    full = sum(1 << i for i in objs)
+    atts = _irreducible([col & full for col in ctx._cols], full)
     return FormalContext._from_rows(
         [ctx.objects[i] for i in objs],
         [ctx.attributes[j] for j in atts],

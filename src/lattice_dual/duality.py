@@ -112,17 +112,20 @@ def dualize_brute(a_family, poset: Poset) -> list:
     """The dual antichain: maximal downsets containing no A-member (guarded).
 
     The enumeration is pruned at every downset holding an A-member: each
-    downset the engine reaches below it holds that member too.
+    downset the engine reaches below it holds that member too.  Each
+    downset is tested once: the engine asks prune(x) only after x is
+    received here, so the prune predicate pops the verdict stored for x.
     """
     codec = poset._codec
     # An A-member naming an element outside the poset lies in no downset.
     a_masks = [codec.encode(s) for s in map(frozenset, a_family) if s <= codec.index.keys()]
-
-    def covered(x: int) -> bool:
-        """Some A-member lies in x: A and {x} lack property (*)."""
-        return not _star(a_masks, (x,))
-
-    free = [x for x in poset._downset_masks(covered) if not covered(x)]
+    covered = {}
+    free = []
+    for x in poset._downset_masks(covered.pop):
+        # some A-member lies in x exactly when A and {x} lack property (*)
+        covered[x] = hit = not _star(a_masks, (x,))
+        if not hit:
+            free.append(x)
     return codec.family(maximal_masks(free))
 
 

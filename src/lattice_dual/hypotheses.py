@@ -59,7 +59,7 @@ def enumerate_hypotheses(t: TrainingContext, k: int = 0) -> list:
     if k < 0:
         raise ValueError("k must be nonnegative")
     pos = t.positive
-    return [pos._acodec.members(h) for h in pos.intent_masks() if _negative_cover_count(t, h) <= k]
+    return pos._acodec.sets([h for h in pos.intent_masks() if _negative_cover_count(t, h) <= k])
 
 
 def minimal_hypotheses(t: TrainingContext, k: int = 0, method: str = "oracle") -> list:
@@ -90,7 +90,7 @@ def _minimal_hypothesis_masks(t: TrainingContext, k: int):
     """
     verdict = {}
     kept = []
-    for b in closed_masks(len(t.attributes), *t.positive._extent_step(), verdict.pop):
+    for b in closed_masks(*t.positive._extent_step(), verdict.pop):
         verdict[b] = hit = _negative_cover_count(t, b) <= k
         if hit and not any(h & b == h for h in kept):
             kept.append(b)

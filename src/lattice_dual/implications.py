@@ -62,8 +62,8 @@ def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
     if any(ctx._close_amask(p) & c != c for p, c in rules):
         return False
 
-    def chain(_state, x: int, _j):
-        """Forward chaining as a stateless Close-by-One step."""
+    def chain(x: int) -> int:
+        """The least superset of x closed under the rules: forward chaining."""
         grown = True
         while grown:
             grown = False
@@ -71,12 +71,23 @@ def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
                 if p & x == p and c & ~x:
                     x |= c
                     grown = True
-        return x, None
+        return x
 
-    return all(
-        ctx._close_amask(x) == x
-        for x in closed_masks(len(ctx.attributes), chain, chain(None, 0, None))
-    )
+    full = (1 << len(ctx.attributes)) - 1
+
+    def children(x, _, y):
+        out = []
+        outside = ~x
+        free = full & outside >> y << y
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = chain(x | bit)
+            if not c & outside & (bit - 1):
+                out.append((c, None, bit.bit_length()))
+        return out
+
+    return all(ctx._close_amask(x) == x for x in closed_masks(children, (chain(0), None)))
 
 
 def contraordinal_context(poset: Poset) -> FormalContext:

@@ -172,10 +172,30 @@ class Poset:
     def _downset_masks(self, prune=None):
         """Every downset as a mask, in lectic order; guarded at the call.
         For a downset x, x | down(j) is the least downset holding x and j,
-        so the downsets are closed sets, listed by the engine with `prune`."""
+        so the downsets are closed sets, listed by the engine with `prune`.
+        A j whose down-set holds an element below j outside x is rejected
+        before its child is built.  Once j is tried, every later element
+        above j is such an element, so the whole up-set of j leaves the
+        candidates at once: a chain of n elements, declared in either order,
+        tries n candidates in all."""
         check_guard(len(self.elements), DOWNSETS_GUARD, "downset enumeration")
         down = self._down
-        return closed_masks(len(down), lambda _, x, j: (x | down[j], None), (0, None), prune)
+        not_up = [~u for u in self._up]
+        full = (1 << len(down)) - 1
+
+        def children(x, _, y):
+            out = []
+            outside = ~x
+            free = full & outside >> y << y
+            while free:
+                bit = free & -free
+                j = bit.bit_length() - 1
+                free &= not_up[j]
+                if not down[j] & outside & (bit - 1):
+                    out.append((x | down[j], None, j + 1))
+            return out
+
+        return closed_masks(children, (0, None), prune)
 
     def restrict(self, keep: Iterable[str]) -> "Poset":
         """Induced subposet, preserving declaration order."""

@@ -124,7 +124,7 @@ class Codec:
     """A universe of pairwise distinct names, and the translation between
     sets of its names and bitmasks (bit i stands for names[i])."""
 
-    __slots__ = ("names", "index", "bit", "kind")
+    __slots__ = ("names", "index", "bit", "kind", "_tables")
 
     def __init__(self, names, kind: str):
         self.names = tuple(names)
@@ -168,9 +168,52 @@ class Codec:
         are dropped."""
         return frozenset(compress(self.names, _selector(mask)))
 
+    def sets(self, masks) -> list:
+        """Each mask's names as a set, in order; bits beyond the universe
+        are dropped.  Equal to `members` on each mask.
+
+        Up to 32 names, a mask is decoded a byte at a time: each byte value
+        indexes a table of the 256 name sets of that byte's names, and the
+        sets of a mask's bytes are joined.  Each union copies a set, so the
+        tables are the faster up to four bytes and the byte selector beyond:
+        per mask of density 1/4, 2.0 against 2.6 us at 32 names, 4.8 against
+        2.9 us at 40 (Python 3.11).  The tables cost about 50 us per full
+        byte; they are built at the first call and kept, so building a codec
+        costs no more.
+        """
+        n = len(self.names)
+        if n > 32:
+            return [self.members(m) for m in masks]
+        try:
+            t0, t1, t2, t3 = self._tables
+        except AttributeError:  # the first call on this codec builds them
+            self._tables = [_byte_table(self.names[k : k + 8]) for k in range(0, 32, 8)]
+            t0, t1, t2, t3 = self._tables
+        if n <= 8:
+            return [t0[m & 255] for m in masks]
+        if n <= 16:
+            return [t0[m & 255] | t1[m >> 8 & 255] for m in masks]
+        if n <= 24:
+            return [t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255] for m in masks]
+        return [
+            t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255] | t3[m >> 24 & 255]
+            for m in masks
+        ]
+
     def family(self, masks) -> list:
         """Masks as name sets, in the family order."""
-        return [self.members(m) for m in sorted(masks, key=family_key)]
+        return self.sets(sorted(masks, key=family_key))
+
+
+def _byte_table(names: tuple) -> list:
+    """The 256 name sets of one byte of a mask, whose bits stand for names
+    (at most 8): entry v holds names[i] for each set bit i of v below
+    len(names), so bits beyond the universe are dropped."""
+    table = [frozenset()]
+    for x in names:
+        one = {x}
+        table += [s | one for s in table]
+    return table * (256 // len(table))
 
 
 # -- antichains of masks -----------------------------------------------
@@ -258,29 +301,23 @@ def _star(a, b) -> bool:
 # -- the closed-set engine ---------------------------------------------
 
 
-def closed_masks(n: int, extend, start, prune=None):
-    """Close-by-One: every closed set over n attributes, once, in lectic
-    order (of two sets, the one holding the first attribute where they
-    differ comes later).
+def closed_masks(children, start, prune=None):
+    """Close-by-One: every closed set, once, in lectic order (of two sets,
+    the one holding the first attribute where they differ comes later).
 
     Each closed set carries a state to its children.  `start` is the least
-    closed set with its state, and extend(state, b | 1<<j, j) returns the
-    closure of b | 1<<j with its own state, given b's state.  A set b
-    reached at attribute y has children for j >= y not in b, kept when they
-    add nothing below j; they are pushed in ascending j, so the pre-order is
-    lectic.  A set for which prune(b) holds is yielded but not expanded;
-    prune(b) is called only after the consumer has received b.
+    closed set with its state.  children(b, state, y) lists the canonical
+    children of a set b reached at attribute y, given b's state: for each
+    j >= y not in b, in ascending j, the closure c of b | 1<<j with its own
+    state, as (c, state, j + 1), kept only when c adds nothing below j.
+    They are pushed in that order, so the pre-order is lectic.  A set for
+    which prune(b) holds is yielded but not expanded; prune(b) is called
+    only after the consumer has received b.  The step is called once per
+    expanded set, so each step runs its own loop over j.
     """
     stack = [(*start, 0)]
     while stack:
         b, state, y = stack.pop()
         yield b
-        if prune is not None and prune(b):
-            continue
-        for j in range(y, n):
-            bit = 1 << j
-            if b & bit:
-                continue
-            c, child = extend(state, b | bit, j)
-            if not (c & ~b) & (bit - 1):
-                stack.append((c, child, j + 1))
+        if prune is None or not prune(b):
+            stack += children(b, state, y)

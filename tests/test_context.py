@@ -204,16 +204,30 @@ def small_contexts():
     )))
 
 
+def closing_children(close, n):
+    """Close-by-One's step for a closure operator on masks over n attributes,
+    with no state: the canonical children of b reached at y, as the engine
+    takes them."""
+
+    def children(b, _state, y):
+        out = []
+        for j in range(y, n):
+            if not b >> j & 1:
+                c = close(b | 1 << j)
+                if not c & ~b & ((1 << j) - 1):
+                    out.append((c, None, j + 1))
+        return out
+
+    return children
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_contexts())
 def test_closed_masks_is_every_closure_in_lectic_order(shape):
     # the engine driven by a stateless step, as base recognition drives it
     n, ctx = shape
-
-    def step(_state, b, _j):
-        return ctx._close_amask(b), None
-
-    got = [ctx._acodec.members(b) for b in closed_masks(n, step, step(None, 0, None))]
+    step = closing_children(ctx._close_amask, n)
+    got = [ctx._acodec.members(b) for b in closed_masks(step, (ctx._close_amask(0), None))]
     assert got == brute_intents(ctx)
 
 
@@ -222,16 +236,17 @@ def test_closed_masks_is_every_closure_in_lectic_order(shape):
 def test_closed_masks_carries_each_intents_extent(shape):
     # every state the context's step hands over is the extent of the closed
     # set it comes with, and the sets are the closures in lectic order
-    n, ctx = shape
-    extend, start = ctx._extent_step()
+    _n, ctx = shape
+    children, start = ctx._extent_step()
     carried = {start[0]: {start[1]}}
 
-    def recording(state, b, j):
-        c, child = extend(state, b, j)
-        carried.setdefault(c, set()).add(child)
-        return c, child
+    def recording(b, state, y):
+        kept = children(b, state, y)
+        for c, child, _ in kept:
+            carried.setdefault(c, set()).add(child)
+        return kept
 
-    got = list(closed_masks(n, recording, start))
+    got = list(closed_masks(recording, start))
     for b in got:
         assert ctx._close_amask(b) == b
         assert carried[b] == {ctx._extent_amask(b)}
@@ -245,8 +260,8 @@ def test_closed_masks_prune_cuts_only_below(shape, cut):
     # no pruned closed proper subset
     n, ctx = shape
     cut &= (1 << n) - 1
-    everything = list(closed_masks(n, *ctx._extent_step()))
-    pruned = list(closed_masks(n, *ctx._extent_step(), lambda b: b & cut == cut))
+    everything = list(closed_masks(*ctx._extent_step()))
+    pruned = list(closed_masks(*ctx._extent_step(), lambda b: b & cut == cut))
     assert set(pruned) <= set(everything)
     assert pruned == [b for b in everything if b in set(pruned)]
     for b in everything:
@@ -381,20 +396,23 @@ def test_reduce_preserves_intent_lattice():
             assert (original[x] <= original[y]) == (image[x] <= image[y])
 
 
+def reducible_index(vectors, full):
+    """Index of the first vector equal to the intersection of the other
+    vectors containing it (the empty intersection counting as full), or
+    None."""
+    for i, v in enumerate(vectors):
+        inter = full
+        for j, w in enumerate(vectors):
+            if j != i and w & v == v:
+                inter &= w
+        if inter == v:
+            return i
+    return None
+
+
 def fixpoint_reduce(ctx: FormalContext) -> FormalContext:
     """Reference: strip reducible objects and attributes, re-scanning both
     sides until neither changes."""
-
-    def reducible_index(vectors, full):
-        for i, v in enumerate(vectors):
-            inter = full
-            for j, w in enumerate(vectors):
-                if j != i and w & v == v:
-                    inter &= w
-            if inter == v:
-                return i
-        return None
-
     objs = list(range(len(ctx.objects)))
     atts = list(range(len(ctx.attributes)))
     changed = True
@@ -410,6 +428,42 @@ def fixpoint_reduce(ctx: FormalContext) -> FormalContext:
         [ctx.attributes[j] for j in atts],
         [sum((ctx._rows[i] >> j & 1) << k for k, j in enumerate(atts)) for i in objs],
     )
+
+
+def rescanning_reduce(ctx: FormalContext) -> FormalContext:
+    """Reference: one loop per side, objects first, that deletes the first
+    reducible vector and scans its side again from the start (cubic)."""
+    objs = list(range(len(ctx.objects)))
+    atts = list(range(len(ctx.attributes)))
+    for keep, other, vectors in ((objs, atts, ctx._rows), (atts, objs, ctx._cols)):
+        full = sum(1 << k for k in other)
+        while (i := reducible_index([vectors[k] & full for k in keep], full)) is not None:
+            del keep[i]
+    return FormalContext._from_rows(
+        [ctx.objects[i] for i in objs],
+        [ctx.attributes[j] for j in atts],
+        [sum((ctx._rows[i] >> j & 1) << k for k, j in enumerate(atts)) for i in objs],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << n) - 1), max_size=10),
+    st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=5),
+)))
+def test_reduce_context_equals_the_rescanning_loop(shape):
+    # random rows, some repeated or the AND of two others, so that rows and
+    # columns are equal to or the intersection of others
+    n, rows, pairs = shape
+    if rows:
+        rows += [rows[i % len(rows)] & rows[j % len(rows)] for i, j in pairs]
+        rows += [rows[i % len(rows)] for i, _ in pairs[:2]]
+    ctx = FormalContext._from_rows(
+        [f"g{i}" for i in range(len(rows))], [f"m{j}" for j in range(n)], rows
+    )
+    got, want = reduce_context(ctx), rescanning_reduce(ctx)
+    assert (got.objects, got.attributes, got._rows) == (want.objects, want.attributes, want._rows)
 
 
 def reducible(sets, full) -> list:

@@ -23,6 +23,7 @@ from lattice_dual import (
 )
 from lattice_dual import test_duality as duality_test
 from lattice_dual import test_duality_stats as duality_test_stats
+from lattice_dual import duality as duality_layer
 from lattice_dual import poset as poset_layer
 from lattice_dual.duality import _THRESHOLD_SLACK, _check, _counts, _masks, _pivot, _split
 from lattice_dual.util import Codec, bits, maximal_masks
@@ -192,6 +193,28 @@ def test_dualize_prunes_below_every_a_member(monkeypatch):
     poset, fam_a, fam_b = matching_instance(6)
     assert set(dualize_brute(fam_a, poset)) == set(map(frozenset, fam_b))
     assert len(yielded) == 1093 < 2**12
+
+
+def test_dualize_tests_each_downset_once(monkeypatch):
+    # k = 6 matching: "holds an A-member" is decided once per downset the
+    # engine yields, and that verdict is the one the engine prunes by
+    yielded, tested = [], []
+    engine, star = poset_layer.closed_masks, duality_layer._star
+
+    def counting(*args):
+        for x in engine(*args):
+            yielded.append(x)
+            yield x
+
+    def counted_star(a, b):
+        tested.extend(b)
+        return star(a, b)
+
+    monkeypatch.setattr(poset_layer, "closed_masks", counting)
+    monkeypatch.setattr(duality_layer, "_star", counted_star)
+    poset, fam_a, fam_b = matching_instance(6)
+    assert set(dualize_brute(fam_a, poset)) == set(map(frozenset, fam_b))
+    assert tested == yielded and len(yielded) == 1093
 
 
 def test_dualize_guard_raises_before_any_downset_is_listed():

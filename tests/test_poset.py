@@ -22,6 +22,7 @@ from lattice_dual import (
     poset_from_pairs,
     poset_to_json,
 )
+from lattice_dual import poset as poset_layer
 from lattice_dual.poset import family_from_json
 
 from conftest import random_poset
@@ -212,6 +213,32 @@ def test_downset_masks_equal_the_contraordinal_intents_list_for_list(case):
     names = [f"p{i}" for i in order]
     p = poset_from_pairs(names, [(f"p{min(i, j)}", f"p{max(i, j)}") for i, j in pairs if i != j])
     assert list(p._downset_masks()) == contraordinal_context(p).intent_masks()
+
+
+def test_chain_lists_its_downsets_with_one_step_call_each_in_either_order(monkeypatch):
+    # Declared bottom-up, every later element lies above the least one
+    # outside a downset; declared top-down, the downsets below the root have
+    # no element left to add.  Either way the engine calls the step once per
+    # expanded downset, and both orders list the same downsets.
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "300")
+    names = [f"p{i}" for i in range(1, 301)]
+    bottom_up = poset_from_pairs(names, list(zip(names, names[1:])))
+    top_down = poset_from_pairs(names[::-1], list(zip(names, names[1:])))
+    engine, expanded = poset_layer.closed_masks, []
+
+    def counting(children, start, prune=None):
+        def step(x, state, y):
+            expanded.append(x)
+            return children(x, state, y)
+
+        return engine(step, start, prune)
+
+    monkeypatch.setattr(poset_layer, "closed_masks", counting)
+    for p in (bottom_up, top_down):
+        expanded.clear()
+        downsets = list(p._downset_masks())
+        assert len(downsets) == 301 and expanded == downsets
+    assert bottom_up.all_downsets() == top_down.all_downsets()
 
 
 def test_all_downsets_guard():

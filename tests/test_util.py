@@ -72,6 +72,26 @@ def test_decode_drops_bits_beyond_the_universe():
     assert codec.decode(0) == [] and codec.members(0) == frozenset()
 
 
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n + 9) - 1), max_size=12)
+)))
+# either side of where `Codec.sets` stops using byte tables: 32 | 33 names,
+# and full, partial and absent last bytes
+@example((32, [2**32 - 1, 2**40 - 1, 0]))
+@example((33, [2**33 - 1, 2**40 - 1, 0]))
+@example((8, [255, 256, 2**16 - 1]))
+@example((9, [511, 512, 2**16 - 1]))
+@example((0, [0, 1, 2**9 - 1]))
+def test_sets_decode_each_mask_as_members(case):
+    # bits up to 9 beyond the universe are drawn, and must be dropped; the
+    # second call reuses the tables the first one built
+    n, masks = case
+    codec = Codec([f"e{i}" for i in range(n)], "element")
+    want = [codec.members(m) for m in masks]
+    assert codec.sets(masks) == want
+    assert codec.sets(iter(masks)) == want
+
+
 def test_codec_rejects_unknown_and_repeated_names():
     with pytest.raises(ValueError) as raised:
         UNIVERSE.encode(["e1", "zz"])
