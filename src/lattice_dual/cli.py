@@ -115,6 +115,8 @@ def _run_hypo(args) -> int:
         neg = minimal_hypotheses(training.swapped(), args.k)
         _emit({"classification": classify(intent, pos, neg)})
     elif args.subverb == "amh":
+        if args.k:
+            raise ValueError("amh supports only --k 0")
         if not args.hyps:
             raise ValueError("amh needs --hyps")
         known = _read_family(args.hyps)
@@ -206,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hypo.add_argument("--pos", help="positive context .cxt file")
     p_hypo.add_argument("--neg", help="negative context .cxt file")
     p_hypo.add_argument("--train", help="training context JSON file")
-    p_hypo.add_argument("--k", type=int, default=0, help="weakness parameter")
+    p_hypo.add_argument("--k", type=int, default=0, help="weakness parameter (amh takes only 0)")
     p_hypo.add_argument("--intent", default=None, help="comma-separated attributes")
     p_hypo.add_argument("--hyps", help="JSON file with known minimal hypotheses")
 

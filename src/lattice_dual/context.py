@@ -124,8 +124,9 @@ class FormalContext:
         the enumeration: the same extent turns up again as a child of later
         closed sets, and then reuses it instead of ANDing rows.  Canonical
         children are not kept, since their extents seldom repeat; so the
-        memo holds at most one intent per concept.
-        """
+        memo holds at most one intent per concept.  Every enumeration over a
+        context starts here, so the guard is checked here."""
+        check_guard(len(self.attributes), CONCEPTS_GUARD, "concept enumeration")
         rows, cols, n = self._rows, self._cols, len(self._cols)
         full = (1 << n) - 1
         failed = {}
@@ -155,7 +156,6 @@ class FormalContext:
 
     def intent_masks(self) -> list:
         """All closed attribute masks, in lectic order."""
-        check_guard(len(self.attributes), CONCEPTS_GUARD, "concept enumeration")
         return list(closed_masks(*self._extent_step()))
 
     def intents(self) -> list:

@@ -5,8 +5,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .context import CONCEPTS_GUARD, FormalContext, _row_mask, _row_text
-from .util import check_guard, closed_masks, is_name_list, name_key
+from .context import FormalContext, _row_mask, _row_text
+from .util import _star, closed_masks, is_name_list, name_key
 
 
 class TrainingContext(namedtuple("TrainingContext", "positive negative")):
@@ -72,7 +72,6 @@ def minimal_hypotheses(t: TrainingContext, k: int = 0, method: str = "oracle") -
         raise ValueError("k must be nonnegative")
     if method not in ("oracle", "iterate"):
         raise ValueError(f"unknown method: {method!r}")
-    check_guard(len(t.attributes), CONCEPTS_GUARD, "concept enumeration")
     return t.positive._acodec.family(_minimal_hypothesis_masks(t, k))
 
 
@@ -92,7 +91,7 @@ def _minimal_hypothesis_masks(t: TrainingContext, k: int):
     kept = []
     for b in closed_masks(*t.positive._extent_step(), verdict.pop):
         verdict[b] = hit = _negative_cover_count(t, b) <= k
-        if hit and not any(h & b == h for h in kept):
+        if hit and _star(kept, (b,)):
             kept.append(b)
             yield b
     if not kept:

@@ -8,7 +8,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from itertools import combinations
 
-from .context import FormalContext
+from .context import FormalContext, _irreducible
 from .hypotheses import TrainingContext, is_hypothesis
 from .poset import Poset
 from .util import is_mask_antichain, maximal_masks, pack
@@ -243,14 +243,17 @@ class ExplicitLattice:
 
 def irreducibles(lat: ExplicitLattice):
     """(join_irreducibles, meet_irreducibles): elements with exactly one
-    lower (resp. upper) cover."""
-    joins = frozenset(
-        e for e in lat.elements if len(lat.poset.lower_covers(e)) == 1
-    )
-    meets = frozenset(
-        e for e in lat.elements if len(lat.poset.upper_covers(e)) == 1
-    )
-    return joins, meets
+    lower (resp. upper) cover.  That is the reduction test of
+    `reduce_context`: an element has one upper cover exactly when its
+    down-set differs from the AND of the down-sets strictly containing it,
+    and one lower cover likewise on up-sets.  O(n^2) mask operations."""
+    return tuple(frozenset(map(lat.elements.__getitem__, side)) for side in _positions(lat))
+
+
+def _positions(lat: ExplicitLattice) -> tuple:
+    """`irreducibles` as ascending lists of element positions."""
+    full = (1 << len(lat.elements)) - 1
+    return _irreducible(lat.poset._up, full), _irreducible(lat.poset._down, full)
 
 
 def product_context(lattices) -> FormalContext:
@@ -261,9 +264,7 @@ def product_context(lattices) -> FormalContext:
     factor's meet-irreducibles; every other block is all ones."""
     objects, attributes, blocks = [], [], []
     for idx, lat in enumerate(lattices):
-        joins, meets = irreducibles(lat)
-        gs = [i for i, e in enumerate(lat.elements) if e in joins]
-        ms = [i for i, e in enumerate(lat.elements) if e in meets]
+        gs, ms = _positions(lat)
         objects += [f"L{idx}:{lat.elements[i]}" for i in gs]
         attributes += [f"L{idx}:{lat.elements[i]}" for i in ms]
         blocks.append((lat.poset._up, gs, ms))

@@ -74,13 +74,14 @@ def worked_negative(worked_training) -> FormalContext:
 # -- random generators ---------------------------------------------------
 
 
-def random_poset(rng: random.Random, max_n: int, min_n: int = 1) -> Poset:
+def random_poset(rng: random.Random, max_n: int, min_n: int = 1,
+                 density: float = 0.3) -> Poset:
     n = rng.randint(min_n, max_n)
     names = [f"p{i}" for i in range(1, n + 1)]
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.3:
+            if rng.random() < density:
                 pairs.append((names[i], names[j]))
     return Poset.from_pairs(names, pairs)
 
@@ -134,6 +135,65 @@ def matching_instance(k: int):
         for pick in itertools.product((0, 1), repeat=k)
     ]
     return poset, fam_a, fam_b
+
+
+# -- judges above the oracle guard: relations that keep or fix the verdict ---
+
+
+def _strict_pairs(poset: Poset) -> list:
+    """Every strict pair a < b of the poset."""
+    return [(a, b) for a in poset.elements for b in poset.up_set(a) if a != b]
+
+
+def opposite_instance(inst: DualityInstance) -> DualityInstance:
+    """(P^op, {P - b : b in B}, {P - a : a in A}), dual exactly when the
+    instance is: the complement of a downset is a downset of P^op."""
+    poset, full = inst.poset, frozenset(inst.poset.elements)
+    opposite = Poset.from_pairs(poset.elements, [(b, a) for a, b in _strict_pairs(poset)])
+    return DualityInstance(opposite, [full - b for b in inst.b], [full - a for a in inst.a])
+
+
+def relabelled_instance(rng: random.Random, inst: DualityInstance) -> DualityInstance:
+    """The same instance with its elements renamed at random, declared in the
+    new names' order and its pairs listed in a random order: the verdict is
+    kept, while pivot ties may break differently."""
+    names = [f"r{i}" for i in range(len(inst.poset))]
+    rename = dict(zip(inst.poset.elements, rng.sample(names, len(names))))
+    pairs = [(rename[a], rename[b]) for a, b in _strict_pairs(inst.poset)]
+    rng.shuffle(pairs)
+    return DualityInstance(
+        Poset.from_pairs(names, pairs),
+        *([frozenset(map(rename.get, x)) for x in fam] for fam in (inst.a, inst.b)),
+    )
+
+
+def composed_instance(rng: random.Random, parts: int) -> DualityInstance:
+    """A dual instance of 21-33 elements, the disjoint union of `parts` (2 or
+    3) brute-planted pieces of about 21 / parts elements each.
+
+    A is the union of the pieces' A-families, every member nonempty, and B
+    is the product of their B-families: {b_1 | ... | b_r}.  The downsets of
+    a disjoint union are the products of the pieces' downsets, so B is the
+    dual of A; dropping any B-member makes the instance not dual.  A piece
+    whose B-family would take |B| above 64 is drawn again.
+    """
+    from lattice_dual import dualize_brute
+
+    low = -(-21 // parts)
+    names, pairs, fam_a, fam_b = [], [], [], [frozenset()]
+    for part in range(parts):
+        while True:
+            piece = random_poset(rng, low + 4, low, rng.choice((0.3, 0.05)))
+            a = [x for x in random_antichain(rng, piece, 3) if x]
+            b = dualize_brute(a, piece)
+            if len(fam_b) * len(b) <= 64:
+                break
+        tag = {p: f"q{part}.{p}" for p in piece.elements}
+        names += tag.values()
+        pairs += [(tag[x], tag[y]) for x, y in _strict_pairs(piece)]
+        fam_a += [frozenset(map(tag.get, x)) for x in a]
+        fam_b = [s | frozenset(map(tag.get, y)) for s in fam_b for y in b]
+    return DualityInstance(Poset.from_pairs(names, pairs), fam_a, fam_b)
 
 
 def random_context(rng: random.Random, max_objects: int, max_attrs: int,

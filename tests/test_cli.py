@@ -12,7 +12,23 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from lattice_dual import contranominal_scale, training_to_json, write_cxt
+from lattice_dual import (
+    DualityInstance,
+    GuardExceeded,
+    Poset,
+    brute_force_dual,
+    contranominal_scale,
+    decide_amh,
+    dualize_brute,
+    enumerate_hypotheses,
+    find_new_min_h,
+    is_base,
+    minimal_hypotheses,
+    poset_to_json,
+    training_from_json,
+    training_to_json,
+    write_cxt,
+)
 from lattice_dual.cli import main
 
 from conftest import ATTRS6, EIGHT_MINIMAL, make_worked_training
@@ -168,6 +184,92 @@ def test_hypo_minimal_guard_exit_3(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "hypo", "minimal", "--train", str(train))
     assert code == 0
     assert json.loads(out) == [attrs]
+
+
+def _one_full_row(n):
+    """A training context over n attributes: one positive object holding all
+    of them and no negative object.  Its one minimal hypothesis is M, found
+    at once by an unguarded search."""
+    attrs = [f"m{j}" for j in range(n)]
+    return training_from_json({"attributes": attrs, "positive": {"g1": "X" * n}, "negative": {}})
+
+
+def _guarded_calls(tmp_path):
+    """Each public entry point that enumerates: (call one step past its
+    default guard, the guarded size, the CLI arguments reaching it or None)."""
+    t26, t19 = _one_full_row(26), _one_full_row(19)
+    p21 = Poset.from_pairs([f"p{i}" for i in range(21)], [])
+    bottom = [["p0"]]
+    files = {
+        "ctx26.cxt": write_cxt(t26.positive),
+        "train26.json": json.dumps(training_to_json(t26)),
+        "ctx19.cxt": write_cxt(t19.positive),
+        "none.json": "[]",
+        "poset21.json": json.dumps(poset_to_json(p21)),
+        "a21.json": json.dumps(bottom),
+        "b21.json": json.dumps([sorted(p21.elements[1:])]),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    f = {name: str(tmp_path / name) for name in files}
+    hypo = ["--train", f["train26.json"]]
+    dual = ["--poset", f["poset21.json"], "--a", f["a21.json"]]
+    instance = DualityInstance(p21, bottom, [p21.elements[1:]])
+    return {
+        "intents": (t26.positive.intents, 26, ["ctx", "concepts", "--context", f["ctx26.cxt"]]),
+        "concepts": (t26.positive.concepts, 26, ["ctx", "concepts", "--context", f["ctx26.cxt"]]),
+        "enumerate_hypotheses": (lambda: enumerate_hypotheses(t26), 26, ["hypo", "all", *hypo]),
+        "minimal_hypotheses": (lambda: minimal_hypotheses(t26), 26, ["hypo", "minimal", *hypo]),
+        "decide_amh": (lambda: decide_amh(t26, []), 26,
+                       ["hypo", "amh", *hypo, "--hyps", f["none.json"]]),
+        "find_new_min_h": (lambda: find_new_min_h(t26, []), 26, None),
+        "all_downsets": (p21.all_downsets, 21, None),
+        "dualize_brute": (lambda: dualize_brute(bottom, p21), 21, ["dual", "dualize", *dual]),
+        "brute_force_dual": (lambda: brute_force_dual(instance), 21,
+                             ["dual", "brute", *dual, "--b", f["b21.json"]]),
+        "is_base": (lambda: is_base(t19.positive, []), 19,
+                    ["reduce", "dci2mibr", "--context", f["ctx19.cxt"], "--a", f["none.json"],
+                     "--b", f["none.json"], "--base", f["none.json"]]),
+    }
+
+
+@pytest.mark.parametrize("entry", [
+    "intents", "concepts", "enumerate_hypotheses", "minimal_hypotheses", "decide_amh",
+    "find_new_min_h", "all_downsets", "dualize_brute", "brute_force_dual", "is_base",
+])
+def test_every_enumeration_is_guarded_one_step_past_its_default(capsys, tmp_path, entry):
+    call, size, argv = _guarded_calls(tmp_path)[entry]
+    message = f"size {size} exceeds guard {size - 1}"
+    with pytest.raises(GuardExceeded, match=message):
+        call()
+    if argv is not None:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert message in err
+
+
+def test_the_guard_override_restores_the_amh_answers(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "26")
+    t26 = _one_full_row(26)
+    assert decide_amh(t26, []) is True
+    assert find_new_min_h(t26, []) == frozenset(t26.attributes)
+    train, hyps = tmp_path / "train.json", tmp_path / "hyps.json"
+    train.write_text(json.dumps(training_to_json(t26)))
+    hyps.write_text("[]")
+    code, out, _ = run_cli(capsys, "hypo", "amh", "--train", str(train), "--hyps", str(hyps))
+    assert (code, json.loads(out)) == (0, {"additional": True})
+
+
+@pytest.mark.parametrize("k", ["1", "-1"])
+def test_hypo_amh_rejects_a_nonzero_k(capsys, worked_files, tmp_path, k):
+    pos, neg = worked_files
+    hyps = tmp_path / "hyps.json"
+    hyps.write_text(json.dumps([sorted(h) for h in EIGHT_MINIMAL]))
+    code, out, err = run_cli(
+        capsys, "hypo", "amh", "--k", k, "--pos", pos, "--neg", neg, "--hyps", str(hyps)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: amh supports only --k 0\n"
 
 
 @pytest.mark.parametrize(

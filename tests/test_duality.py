@@ -28,7 +28,15 @@ from lattice_dual import poset as poset_layer
 from lattice_dual.duality import _THRESHOLD_SLACK, _check, _counts, _masks, _pivot, _split
 from lattice_dual.util import Codec, bits, maximal_masks
 
-from conftest import matching_instance, planted_instance, random_instance, random_poset
+from conftest import (
+    composed_instance,
+    matching_instance,
+    opposite_instance,
+    planted_instance,
+    random_instance,
+    random_poset,
+    relabelled_instance,
+)
 
 CHAIN3 = poset_from_pairs(["p1", "p2", "p3"], [("p1", "p2"), ("p2", "p3")])
 ANTI2 = poset_from_pairs(["p1", "p2"], [])
@@ -623,6 +631,48 @@ def test_split_first_b_is_already_maximal(inst):
             first, second = _split(poset, universe, a, b, p)
             assert first[2] == maximal_masks([y & ~below for y in b if y >> p & 1])
             todo += [first, second]
+
+
+# -- judges above the oracle guard ------------------------------------------------
+
+
+def without_b_member(inst, i):
+    return DualityInstance(inst.poset, inst.a, inst.b[:i] + inst.b[i + 1:])
+
+
+@st.composite
+def judged_instances(draw):
+    """An instance of 21-60 elements, where no oracle reaches: random, or
+    composed of 2-3 planted pieces, dual or with one B-member dropped."""
+    rng = draw(st.randoms(use_true_random=True))
+    if draw(st.booleans()):
+        return random_instance(rng, 60, 5, min_n=30)
+    inst = composed_instance(rng, draw(st.integers(2, 3)))
+    if draw(st.booleans()):
+        inst = without_b_member(inst, draw(st.integers(0, len(inst.b) - 1)))
+    return inst
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(judged_instances())
+def test_order_duality_keeps_the_verdict(inst):
+    assert duality_test(opposite_instance(inst)) == duality_test(inst)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(judged_instances(), st.randoms(use_true_random=True))
+def test_relabelling_keeps_the_verdict(inst, rng):
+    assert duality_test(relabelled_instance(rng, inst)) == duality_test(inst)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.randoms(use_true_random=True), st.integers(2, 3), st.data())
+def test_a_composed_instance_is_dual_and_not_once_a_b_member_is_dropped(rng, parts, data):
+    inst = composed_instance(rng, parts)
+    assert 21 <= len(inst.poset) <= 60
+    assert duality_test(inst)
+    dropped = without_b_member(inst, data.draw(st.integers(0, len(inst.b) - 1)))
+    assert not duality_test(dropped)
 
 
 # -- the pivot rule against the full scan ----------------------------------------

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattice_dual import (
     Cnf,
@@ -383,6 +385,35 @@ def test_irreducibles_boolean_square():
 def test_irreducibles_singleton_lattice():
     lat = ExplicitLattice.from_pairs(["only"], [])
     assert irreducibles(lat) == (frozenset(), frozenset())
+
+
+def reference_irreducibles(lat):
+    """The cover-count definition: the elements with exactly one lower
+    (resp. upper) cover."""
+    def one(covers):
+        return frozenset(e for e in lat.elements if len(covers(e)) == 1)
+
+    return one(lat.poset.lower_covers), one(lat.poset.upper_covers)
+
+
+@st.composite
+def concept_lattices(draw):
+    """The intents of a random context of up to 6 x 6, ordered by inclusion
+    and declared in a drawn order, as a lattice given by its strict pairs."""
+    n_obj, n_att = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n_att, max_size=n_att),
+                         min_size=n_obj, max_size=n_obj))
+    ctx = FormalContext([f"g{i}" for i in range(n_obj)], [f"m{j}" for j in range(n_att)], rows)
+    intents = draw(st.permutations(ctx.intents()))
+    names = [f"c{i}" for i in range(len(intents))]
+    pairs = [(x, y) for x, s in zip(names, intents) for y, t in zip(names, intents) if s < t]
+    return ExplicitLattice.from_pairs(names, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(concept_lattices())
+def test_irreducibles_match_the_cover_count(lat):
+    assert irreducibles(lat) == reference_irreducibles(lat)
 
 
 # -- lattice products ------------------------------------------------------------------
