@@ -261,9 +261,9 @@ def parse_cxt(text: str) -> FormalContext:
         raise ValueError("malformed .cxt header: expected 'B'")
     if take().strip():
         raise ValueError("malformed .cxt header: expected blank line after 'B'")
+    counts = take().strip(), take().strip()
     try:
-        n_obj = int(take().strip())
-        n_att = int(take().strip())
+        n_obj, n_att = map(int, counts)
     except ValueError:
         raise ValueError("malformed .cxt header: expected object/attribute counts") from None
     if n_obj < 0 or n_att < 0:

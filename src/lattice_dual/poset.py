@@ -12,16 +12,16 @@ DOWNSETS_GUARD = 20
 
 
 def _reach(succ) -> tuple:
-    """(up, cyclic): up[i] is i with everything reachable from i along the
+    """(up, back): up[i] is i with everything reachable from i along the
     successor masks succ, by one depth-first search in post-order, where a
-    node's mask is the OR of its successors' masks; cyclic tells whether an
-    edge led back to a node on the search path.  O(n + pairs) mask
-    operations."""
+    node's mask is the OR of its successors' masks; O(n + pairs) mask
+    operations.  Every cycle has a back edge, whose head is on the search
+    path (Tarjan 1972): the search stops at the first, v -> w, and back is
+    (v, w); otherwise back is None."""
     # A node with no successors is finished before the search starts, so it
     # never takes a frame of its own.
     up = [0 if row else 1 << i for i, row in enumerate(succ)]
     done = sum(up)
-    cyclic = False
     # Roots in descending order: when pairs mostly run from earlier to later
     # elements, a node's successors are then finished before it is reached.
     for root in reversed(range(len(succ))):
@@ -31,9 +31,9 @@ def _reach(succ) -> tuple:
         while stack:
             v = stack[-1]
             todo = succ[v] & ~done
-            if todo & path:
-                cyclic = True
-                todo &= ~path
+            back = todo & path
+            if back:
+                return up, (v, (back & -back).bit_length() - 1)
             if todo:
                 low = todo & -todo
                 path |= low
@@ -49,7 +49,7 @@ def _reach(succ) -> tuple:
             up[v] = row | bit
             done |= bit
             path ^= bit
-    return up, cyclic
+    return up, None
 
 
 class Poset:
@@ -124,20 +124,11 @@ class Poset:
                 raise ValueError(f"unknown name in pair ({a!r}, {b!r})")
             if a != b:
                 succ[idx[a]] |= 1 << idx[b]
-        up, cyclic = _reach(succ)
-        if cyclic:
-            # The post-order misses what a cycle leads back to: Warshall's
-            # loop closes the masks, so that the check below names the first
-            # cycle.  Each up[k] holds bit k, so round k leaves it unchanged.
-            for k in range(n):
-                up = [row | up[k] if row >> k & 1 else row for row in up]
-        down = transpose(up, n)
-        for i in range(n):
-            cycle = up[i] & down[i] & ~((2 << i) - 1)
-            if cycle:
-                j = (cycle & -cycle).bit_length() - 1
-                raise ValueError(f"cycle detected through {names[i]!r} and {names[j]!r}")
-        return cls._from_masks(codec, up, down)
+        up, back = _reach(succ)
+        if back:
+            i, j = sorted(back)
+            raise ValueError(f"cycle detected through {names[i]!r} and {names[j]!r}")
+        return cls._from_masks(codec, up, transpose(up, n))
 
     def __len__(self):
         return len(self.elements)

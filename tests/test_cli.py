@@ -85,6 +85,13 @@ def test_ctx_malformed_header_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+def test_ctx_truncated_header_exit_2(capsys, tmp_path):
+    path = tmp_path / "short.cxt"
+    path.write_text("B\n")
+    code, out, err = run_cli(capsys, "ctx", "concepts", "--context", str(path))
+    assert (code, out, err) == (2, "", "error: truncated .cxt file\n")
+
+
 # -- hypo verbs -------------------------------------------------------------
 
 
@@ -122,6 +129,14 @@ def test_hypo_classify(capsys, worked_files):
     )
     assert code == 0
     assert json.loads(out) == {"classification": "positive"}
+
+
+def test_hypo_classify_without_intent_exit_2(capsys, worked_files):
+    pos, neg = worked_files
+    code, out, err = run_cli(capsys, "hypo", "classify", "--pos", pos, "--neg", neg)
+    assert code == 2
+    assert out == ""
+    assert "classify needs --intent" in err
 
 
 def test_hypo_classify_unknown_attribute_exit_2(capsys, worked_files):
@@ -396,6 +411,8 @@ def test_dual_guard_exit_3(capsys, tmp_path):
         ({"elements": ["p1", "p2"], "less_than": [1]}, [["p1"]], "less_than"),
         ({"elements": "abc", "less_than": []}, [["a"]], "elements"),
         ({"elements": ["p1", "p2"], "less_than": []}, [5], "family"),
+        ({"elements": ["a", "b", "c"], "less_than": [["a", "b"], ["b", "c"], ["c", "a"]]},
+         [["a"]], "cycle detected through 'b' and 'c'"),
     ],
 )
 def test_dual_malformed_json_exit_2(capsys, tmp_path, poset_doc, fam_a, message):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 from unittest import mock
 
@@ -535,6 +536,12 @@ def test_from_intents_error_order():
             FormalContext.from_intents(objects, attributes, intents)
 
 
+@pytest.mark.parametrize("incidence", [[[1]], [[1, 0], [0]], [[1], [0]]])
+def test_incidence_matrix_dimensions_checked(incidence):
+    with pytest.raises(ValueError, match="incidence dimensions do not match"):
+        FormalContext(["g1", "g2"], ["m1", "m2"], incidence)
+
+
 def test_from_intents_matches_the_incidence_matrix():
     rng = random.Random(41)
     for _ in range(20):
@@ -583,6 +590,24 @@ def test_cxt_rejects_bad_header():
 def test_cxt_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         parse_cxt("B\n\n2\n2\n\ng1\ng2\nm1\nm2\n.X\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("B\n", "truncated .cxt file"),
+        ("B\n\n1", "truncated .cxt file"),
+        ("B\n\n1\n1\n\ng1\nm1", "truncated .cxt file"),
+        ("B\n1\n1\n\ng1\nm1\nX\n", "expected blank line after 'B'"),
+        ("B\n\n1\n1\ng1\nm1\nX\n", "expected blank line before names"),
+        ("B\n\none\n1\n\ng1\nm1\nX\n", "expected object/attribute counts"),
+        ("B\n\n1\n-1\n\ng1\nX\n", "negative counts in .cxt header"),
+        ("B\n\n1\n1\n\ng1\nm1\nX\nX\n", "trailing content in .cxt file"),
+    ],
+)
+def test_cxt_errors(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_cxt(text)
 
 
 def test_row_mask_reads_x_dot_rows_only():

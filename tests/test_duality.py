@@ -408,6 +408,31 @@ def test_duality_stats_near_dual_k9_rejects_early(drop):
     assert nodes <= 55
 
 
+def antichain_blocks(count, size):
+    """An antichain of count * size elements, cut into count blocks."""
+    blocks = [[f"e{i}_{j}" for j in range(size)] for i in range(count)]
+    return poset_from_pairs([x for block in blocks for x in block], []), blocks
+
+
+def test_frequency_bounds_reject_at_the_root():
+    # A = 34 blocks of 67, B = each element index left out of every block.
+    # Each element is in 1 of 34 A-members and missing from 1 of 67
+    # B-members, so both bounds hold at the root and the answer is one node.
+    poset, blocks = antichain_blocks(34, 67)
+    fam_b = [set(poset.elements) - {block[i] for block in blocks} for i in range(67)]
+    assert duality_test_stats(DualityInstance(poset, blocks, fam_b)) == (False, 1)
+
+
+def test_frequency_bounds_reject_only_when_both_hold():
+    # A = the 3,600 pairs across 2 blocks of 60, B = the two blocks: dual.
+    # Each element is in 60 of 3,600 A-members, so the A-bound holds, but it
+    # is missing from 1 of 2 B-members, so the B-bound does not.
+    poset, blocks = antichain_blocks(2, 60)
+    inst = DualityInstance(poset, [{x, y} for x in blocks[0] for y in blocks[1]], blocks)
+    assert _pivot(poset, *_masks(inst)) is not None
+    assert duality_test_stats(inst) == (True, 7999)
+
+
 def test_duality_long_chain_runs_without_recursion_limit():
     # Recursion depth grows with the number of elements; 1,100 is past
     # Python's default recursion limit.

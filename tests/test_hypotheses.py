@@ -87,6 +87,16 @@ def test_is_hypothesis_requires_closed_set():
     assert is_hypothesis(t, {"m1", "m2", "m3"})
 
 
+def test_negative_k_rejected(worked_training):
+    for call in (
+        lambda: is_hypothesis(worked_training, set(), k=-1),
+        lambda: enumerate_hypotheses(worked_training, -1),
+        lambda: minimal_hypotheses(worked_training, -1),
+    ):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            call()
+
+
 def test_is_hypothesis_unknown_attribute(worked_training):
     with pytest.raises(ValueError):
         is_hypothesis(worked_training, {"m99"})

@@ -316,6 +316,17 @@ def test_dci_rejects_star_violation():
         dci_to_mibr(ctx, [{"p1"}], [{"p1"}], distributive_min_base(p))
 
 
+@pytest.mark.parametrize(
+    "fam_a, fam_b",
+    [([{"p1"}, {"p1", "p2"}], [{"p2"}]), ([{"p1", "p2"}], [{"p1"}, {"p1", "p2"}])],
+)
+def test_dci_rejects_non_antichains(fam_a, fam_b):
+    p = poset_from_pairs(["p1", "p2"], [])
+    ctx = contraordinal_context(p)
+    with pytest.raises(ValueError, match="A and B must be antichains"):
+        dci_to_mibr(ctx, fam_a, fam_b, distributive_min_base(p))
+
+
 def test_dci_rejects_non_intent():
     p = poset_from_pairs(["p1", "p2"], [("p1", "p2")])
     ctx = contraordinal_context(p)

@@ -58,13 +58,39 @@ def test_from_pairs_empty_relation():
 
 
 def test_from_pairs_rejects_cycle():
-    with pytest.raises(ValueError, match="cycle"):
+    with pytest.raises(ValueError, match="^cycle detected through 'p1' and 'p2'$"):
         poset_from_pairs(["p1", "p2"], [("p1", "p2"), ("p2", "p1")])
 
 
 def test_from_pairs_rejects_longer_cycle():
-    with pytest.raises(ValueError, match="cycle"):
+    # The search starts at 'c' and meets the back edge b -> c.
+    with pytest.raises(ValueError, match="^cycle detected through 'b' and 'c'$"):
         poset_from_pairs(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+
+def test_from_pairs_rejects_a_long_cycle_at_its_back_edge():
+    # A chain of 3,000 closed into a cycle: the search runs from c2999 up
+    # the chain and stops at c2998 -> c2999, without closing a cyclic order.
+    names = [f"c{i}" for i in range(3000)]
+    pairs = list(zip(names, names[1:])) + [(names[-1], names[0])]
+    with pytest.raises(ValueError, match="^cycle detected through 'c2998' and 'c2999'$"):
+        poset_from_pairs(names, pairs)
+
+
+@pytest.mark.parametrize(
+    "elements, leq, message",
+    [
+        (["a", "b"], [[1, 0]], "leq matrix dimensions do not match element count"),
+        (["a", "b"], [[1, 0], [0]], "leq matrix dimensions do not match element count"),
+        (["a", "b"], [[1, 0], [0, 0]], "leq not reflexive at 'b'"),
+        (["a", "b"], [[1, 1], [1, 1]], "leq not antisymmetric: 'a' and 'b'"),
+        (["a", "b", "c"], [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+         "leq not transitive at 'a' <= 'b' <= 'c'"),
+    ],
+)
+def test_leq_matrix_errors(elements, leq, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Poset(elements, leq)
 
 
 def test_from_pairs_rejects_unknown_name():
@@ -92,12 +118,12 @@ def test_from_pairs_matches_brute_closure(case):
     for k, i, j in itertools.product(range(n), repeat=3):
         leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
     named = [(names[i], names[j]) for i, j in pairs]
-    cycles = [(i, j) for i in range(n) for j in range(i + 1, n) if leq[i][j] and leq[j][i]]
-    if cycles:
-        # the first element on a cycle, with the first later one on it
-        i, j = cycles[0]
-        with pytest.raises(ValueError, match=f"cycle detected through '{names[i]}' and '{names[j]}'$"):
+    if any(leq[i][j] and leq[j][i] for i in range(n) for j in range(i + 1, n)):
+        # two distinct elements of one cycle, in declaration order
+        with pytest.raises(ValueError, match="^cycle detected through 'p[0-9]' and 'p[0-9]'$") as err:
             Poset.from_pairs(names, named)
+        i, j = (names.index(name) for name in err.value.args[0].split("'")[1::2])
+        assert i < j and leq[i][j] and leq[j][i]
         return
     p = Poset.from_pairs(names, named)
     assert p == Poset(names, leq)

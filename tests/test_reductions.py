@@ -168,6 +168,18 @@ def test_assignment_undefined_when_pair_missing():
         assignment_from_hypothesis({"x1", "!x1"}, 1)
 
 
+def test_assignment_from_hypothesis_rejects_non_literals():
+    for h, n in (({"x2"}, 1), ({"m1"}, 2)):
+        with pytest.raises(ValueError, match="non-literal attributes"):
+            assignment_from_hypothesis(h, n)
+
+
+def test_hypothesis_from_assignment_rejects_a_partial_assignment():
+    for assignment in ({2: True}, {1: True, 3: False}, {0: True}):
+        with pytest.raises(ValueError, match="must be total on variables 1..n"):
+            hypothesis_from_assignment(assignment)
+
+
 def test_hypothesis_from_assignment_examples():
     assert hypothesis_from_assignment({1: True}) == frozenset({"!x1"})
     assert hypothesis_from_assignment({1: True, 2: False}) == frozenset({"!x1", "x2"})
