@@ -162,10 +162,20 @@ class FormalContext:
         return self._acodec.sets(self.intent_masks())
 
     def concepts(self) -> list:
-        """All formal concepts (guarded enumeration oracle)."""
-        intents = self.intent_masks()
-        extents = self._ocodec.sets(map(self._extent_amask, intents))
-        return list(map(Concept, extents, self._acodec.sets(intents)))
+        """All formal concepts (guarded enumeration oracle).
+
+        With no prune, the engine calls the step once for each closed set,
+        right after yielding it, with the extent it carries; the step is
+        wrapped to keep those extents, in the order of the intents."""
+        children, start = self._extent_step()
+        extents = []
+
+        def keep_extent(b, extent, y):
+            extents.append(extent)
+            return children(b, extent, y)
+
+        intents = list(closed_masks(keep_extent, start))
+        return list(map(Concept, self._ocodec.sets(extents), self._acodec.sets(intents)))
 
     def __eq__(self, other):
         return (

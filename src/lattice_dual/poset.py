@@ -17,7 +17,9 @@ def _reach(succ) -> tuple:
     node's mask is the OR of its successors' masks; O(n + pairs) mask
     operations.  Every cycle has a back edge, whose head is on the search
     path (Tarjan 1972): the search stops at the first, v -> w, and back is
-    (v, w); otherwise back is None."""
+    (v, w); otherwise back is None.  Given the predecessor masks of an
+    acyclic relation, up is its down-masks: from_pairs takes both
+    directions so, with no Python step per comparability."""
     # A node with no successors is finished before the search starts, so it
     # never takes a frame of its own.
     up = [0 if row else 1 << i for i, row in enumerate(succ)]
@@ -118,17 +120,19 @@ class Poset:
         codec = Codec(names, "element")
         names, idx = codec.names, codec.index
         n = len(names)
-        succ = [0] * n
+        succ, pred = [0] * n, [0] * n
         for a, b in pairs:
             if a not in idx or b not in idx:
                 raise ValueError(f"unknown name in pair ({a!r}, {b!r})")
             if a != b:
-                succ[idx[a]] |= 1 << idx[b]
+                i, j = idx[a], idx[b]
+                succ[i] |= 1 << j
+                pred[j] |= 1 << i
         up, back = _reach(succ)
         if back:
             i, j = sorted(back)
             raise ValueError(f"cycle detected through {names[i]!r} and {names[j]!r}")
-        return cls._from_masks(codec, up, transpose(up, n))
+        return cls._from_masks(codec, up, _reach(pred)[0])
 
     def __len__(self):
         return len(self.elements)
@@ -240,8 +244,8 @@ def _is_downset(poset: Poset, universe: int, mask: int) -> bool:
 
     Either no element of mask has a predecessor in U outside it, or no
     element of U outside mask has a successor in it; the side with fewer
-    elements to test is checked.  Minimal (maximal) elements of the poset
-    need no test on their side.
+    elements to test is checked, walking its set bits in place.  Minimal
+    (maximal) elements of the poset need no test on their side.
     """
     if mask & ~universe:
         return False
@@ -251,10 +255,15 @@ def _is_downset(poset: Poset, universe: int, mask: int) -> bool:
     if not inner or not outer:
         return True
     if inner.bit_count() <= outer.bit_count():
-        down = poset._down
-        return not any(down[i] & outside for i in bits(inner))
-    up = poset._up
-    return not any(up[i] & mask for i in bits(outer))
+        masks, side, hit = poset._down, inner, outside
+    else:
+        masks, side, hit = poset._up, outer, mask
+    while side:
+        low = side & -side
+        if masks[low.bit_length() - 1] & hit:
+            return False
+        side ^= low
+    return True
 
 
 def poset_from_pairs(names, pairs) -> Poset:

@@ -255,6 +255,27 @@ def test_closed_masks_carries_each_intents_extent(shape):
 
 
 @settings(max_examples=100, deadline=None)
+@given(small_contexts())
+def test_concepts_take_each_extent_from_the_enumeration(shape):
+    # concepts() keeps the extent the engine carries with each intent: the
+    # intents are those of intents(), in the same order, and each extent is
+    # the derivation of its intent
+    _n, ctx = shape
+    concepts = ctx.concepts()
+    assert [c.intent for c in concepts] == ctx.intents()
+    for c in concepts:
+        assert c.extent == ctx.derive_attributes(c.intent)
+
+
+def test_concepts_carry_extents_over_more_than_32_objects():
+    rng = random.Random(52)
+    ctx = random_context(rng, 45, 9, min_objects=40)
+    concepts = ctx.concepts()
+    assert [c.intent for c in concepts] == ctx.intents()
+    assert all(c.extent == ctx.derive_attributes(c.intent) for c in concepts)
+
+
+@settings(max_examples=100, deadline=None)
 @given(small_contexts(), st.integers(0, 2**7 - 1))
 def test_closed_masks_prune_cuts_only_below(shape, cut):
     # pruning keeps lectic order and still reaches every closed set that has

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lattice_dual import (
@@ -24,6 +24,7 @@ from lattice_dual import (
 )
 from lattice_dual import poset as poset_layer
 from lattice_dual.poset import family_from_json
+from lattice_dual.util import transpose
 
 from conftest import random_poset
 
@@ -139,6 +140,137 @@ def test_from_pairs_matches_brute_closure(case):
     assert (restricted._down, restricted._nonmin, restricted._nonmax) == (
         brute._down, brute._nonmin, brute._nonmax
     )
+
+
+def reference_up_masks(n, pairs) -> tuple:
+    """Each element with everything reachable from it, by a search per element."""
+    succ = [[] for _ in range(n)]
+    for i, j in pairs:
+        succ[i].append(j)
+    out = []
+    for i in range(n):
+        seen, todo = {i}, [i]
+        while todo:
+            for j in succ[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        out.append(sum(1 << j for j in seen))
+    return tuple(out)
+
+
+def test_from_pairs_masks_of_a_shuffled_300_chain():
+    rng = random.Random(300)
+    n = 300
+    names = [f"c{i}" for i in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)  # order[k] is the element at height k
+    pairs = list(zip(order, order[1:]))
+    rng.shuffle(pairs)
+    p = Poset.from_pairs(names, [(names[i], names[j]) for i, j in pairs])
+    assert p._up == reference_up_masks(n, pairs)
+    assert p._down == tuple(transpose(p._up, n))
+    full = (1 << n) - 1
+    assert p._nonmin == full & ~(1 << order[0])
+    assert p._nonmax == full & ~(1 << order[-1])
+
+
+def test_from_pairs_masks_of_a_sparse_random_dag():
+    rng = random.Random(200)
+    n = 200
+    names = [f"d{i}" for i in range(n)]
+    height = list(range(n))
+    rng.shuffle(height)
+    pairs = set()
+    while len(pairs) < 300:
+        i, j = sorted(rng.sample(range(n), 2), key=height.__getitem__)
+        pairs.add((i, j))
+    pairs = sorted(pairs)
+    rng.shuffle(pairs)
+    p = Poset.from_pairs(names, [(names[i], names[j]) for i, j in pairs])
+    assert p._up == reference_up_masks(n, pairs)
+    assert p._down == tuple(transpose(p._up, n))
+    # in an acyclic relation, an element has something strictly below it
+    # exactly when it is the upper end of a pair
+    assert p._nonmin == sum({1 << j for _, j in pairs})
+    assert p._nonmax == sum({1 << i for i, _ in pairs})
+
+
+def brute_below(n, pairs) -> list:
+    """below[j]: the mask of every i <= j, by Warshall's closure on masks."""
+    below = [1 << j for j in range(n)]
+    for i, j in pairs:
+        below[j] |= 1 << i
+    for k in range(n):
+        for j in range(n):
+            if below[j] >> k & 1:
+                below[j] |= below[k]
+    return below
+
+
+@st.composite
+def downset_queries(draw):
+    """(n, pairs, universe, mask): a random order on up to 12 elements, a
+    sub-universe U (the poset less about a sixth of it), and a mask that is
+    random, or random inside U, or the least downset of U over a sparse part
+    of U, or that downset with one more element, inside U or not."""
+    n = draw(st.integers(0, 12))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    label = rng.sample(range(n), n)  # so that no index order is a linear extension
+    pairs = [
+        (label[i], label[j])
+        for i, j in itertools.combinations(range(n), 2)
+        if rng.random() < density
+    ]
+    universe = sum(1 << i for i in range(n) if rng.random() < 5 / 6)
+    mask = rng.getrandbits(n)
+    kind = draw(st.sampled_from(["raw", "inside", "closed", "closed_plus"]))
+    if kind == "inside":
+        mask &= universe
+    elif kind != "raw":
+        below, seed, mask = brute_below(n, pairs), mask & universe & rng.getrandbits(n), 0
+        for i in range(n):
+            if seed >> i & 1:
+                mask |= below[i] & universe
+        if kind == "closed_plus" and n:
+            mask |= 1 << rng.randrange(n)
+    return n, pairs, universe, mask
+
+
+CHAIN4 = [(0, 1), (1, 2), (2, 3)]
+CHAIN5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
+PAIRS3 = [(0, 1), (2, 3), (4, 5)]
+
+
+@settings(deadline=None)
+@given(downset_queries())
+# the inner side walked (no more elements with something below than outside
+# elements with something above): a downset, and not one
+@example((4, CHAIN4, 0b1111, 0b0011))
+@example((4, CHAIN4, 0b1111, 0b0010))
+# the outer side walked: a downset, and not one
+@example((5, CHAIN5, 0b11111, 0b00111))
+@example((5, CHAIN5, 0b11111, 0b01011))
+# the walk passes one element and fails at the next: inner side, outer side
+@example((6, PAIRS3, 0b111111, 0b001011))
+@example((8, PAIRS3 + [(6, 7)], 0b11111111, 0b10111100))
+# the outer side walked, failing at element 0, which lies above element 1
+@example((6, [(1, 0), (2, 3), (4, 5)], 0b111111, 0b111101))
+# a downset of the sub-universe without element 1, but not of the poset
+@example((5, CHAIN5, 0b11101, 0b00101))
+# bits outside the universe
+@example((4, CHAIN4, 0b0111, 0b1001))
+@example((4, CHAIN4, 0b0111, 0b1000))
+def test_is_downset_matches_the_definition(query):
+    n, pairs, universe, mask = query
+    names = [f"p{i}" for i in range(n)]
+    p = Poset.from_pairs(names, [(names[i], names[j]) for i, j in pairs])
+    below = brute_below(n, pairs)
+    want = not mask & ~universe and all(
+        not below[i] & universe & ~mask for i in range(n) if mask >> i & 1
+    )
+    assert poset_layer._is_downset(p, universe, mask) == want
 
 
 # -- principal sets ------------------------------------------------------

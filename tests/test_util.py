@@ -166,6 +166,33 @@ def test_family_order_is_size_then_indices():
     assert codec.family(map(codec.encode, family)) == [frozenset(codec.decode(m)) for m in masks]
 
 
+def reference_family_key(mask):
+    return mask.bit_count(), bits(mask)
+
+
+family_masks = st.one_of(
+    index_sets().map(lambda picked: sum(1 << i for i in picked)),
+    st.integers(0, 2**300 - 1),
+)
+
+
+@given(st.lists(family_masks, max_size=12))
+@example([0, 1, 0, 2**300 - 1, 0])
+# equal size, equal low byte, differing only above bit 8
+@example([1 | 1 << 12, 1 | 1 << 9, 1 | 1 << 299, 1 | 1 << 8])
+@example([0xFF | 0b101 << 9, 0xFF | 0b011 << 9])
+# equal size, different byte lengths
+@example([1 << 9, 1 << 3, 1 << 299, 1 << 7, 1 << 8])
+@example([0b11 << 7, 0b1001, 1 << 20 | 1, 1 << 299 | 1 << 6])
+def test_family_key_orders_as_the_index_lists(family):
+    assert sorted(family, key=family_key) == sorted(family, key=reference_family_key)
+    keys = list(map(family_key, family))
+    refs = list(map(reference_family_key, family))
+    for k, r in zip(keys, refs):
+        assert [k < other for other in keys] == [r < other for other in refs]
+        assert [k == other for other in keys] == [r == other for other in refs]
+
+
 families = st.lists(st.integers(0, 2**7 - 1), max_size=8)
 
 
