@@ -17,7 +17,8 @@ from .util import GuardExceeded, family_key, is_name_list
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The file's text; "utf-8-sig" drops one leading byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 

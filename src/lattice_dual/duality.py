@@ -118,7 +118,7 @@ def dualize_brute(a_family, poset: Poset) -> list:
     """
     codec = poset._codec
     # An A-member naming an element outside the poset lies in no downset.
-    a_masks = [codec.encode(s) for s in map(frozenset, a_family) if s <= codec.index.keys()]
+    a_masks = [codec.encode(s) for s in map(frozenset, a_family) if s <= codec.bit.keys()]
     covered = {}
     free = []
     for x in poset._downset_masks(covered.pop):

@@ -109,7 +109,7 @@ def _first_new(t: TrainingContext, known) -> int | None:
     """
     known = [frozenset(h) for h in known]
     codec = t.positive._acodec
-    masks = [codec.encode(h) if h <= codec.index.keys() else None for h in known]
+    masks = [codec.encode(h) if h <= codec.bit.keys() else None for h in known]
     pending, new = set(masks), None
     for b in _minimal_hypothesis_masks(t, 0):  # each mask comes once
         if b in pending:

@@ -55,8 +55,8 @@ def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
     codec = ctx._acodec
     rules = []
     for imp in imps:
-        if imp.premise <= codec.index.keys():  # else it fires only once an unknown name is derived
-            if not imp.conclusion <= codec.index.keys():
+        if imp.premise <= codec.bit.keys():  # else it fires only once an unknown name is derived
+            if not imp.conclusion <= codec.bit.keys():
                 return False  # it fires on its own premise and leaves M
             rules.append((codec.encode(imp.premise), codec.encode(imp.conclusion)))
     if any(ctx._close_amask(p) & c != c for p, c in rules):

@@ -118,16 +118,16 @@ class Poset:
         Any cycle among the pairs violates antisymmetry and is rejected.
         """
         codec = Codec(names, "element")
-        names, idx = codec.names, codec.index
+        names, bit = codec.names, codec.bit
         n = len(names)
         succ, pred = [0] * n, [0] * n
         for a, b in pairs:
-            if a not in idx or b not in idx:
+            if a not in bit or b not in bit:
                 raise ValueError(f"unknown name in pair ({a!r}, {b!r})")
             if a != b:
-                i, j = idx[a], idx[b]
-                succ[i] |= 1 << j
-                pred[j] |= 1 << i
+                bit_a, bit_b = bit[a], bit[b]
+                succ[bit_a.bit_length() - 1] |= bit_b
+                pred[bit_b.bit_length() - 1] |= bit_a
         up, back = _reach(succ)
         if back:
             i, j = sorted(back)
@@ -195,7 +195,7 @@ class Poset:
     def restrict(self, keep: Iterable[str]) -> "Poset":
         """Induced subposet, preserving declaration order."""
         keep = set(keep)
-        unknown = keep - self._codec.index.keys()
+        unknown = keep - self._codec.bit.keys()
         if unknown:
             raise ValueError(f"unknown element names: {sorted(unknown, key=name_key)}")
         kept = bits(self._codec.encode(keep))

@@ -34,14 +34,18 @@ class Cnf(namedtuple("Cnf", "num_vars clauses")):
 
 
 def parse_dimacs(text: str) -> Cnf:
-    """DIMACS CNF: 'p cnf n k' header, clauses terminated by 0."""
+    """DIMACS CNF: 'p cnf n k' header, clauses terminated by 0.  A line
+    starting with '%' ends the input: SATLIB's uniform random 3-SAT files
+    close with a '%' line and then a '0' line, which is no clause."""
     num_vars = None
     declared = None
     clauses = []
     current: list = []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()

@@ -12,7 +12,7 @@ downsets included, are all listed by Close-by-One, `closed_masks`."""
 
 import os
 from bisect import bisect_left, bisect_right
-from itertools import compress, count, filterfalse
+from itertools import compress, filterfalse
 
 GUARD_ENV = "LATTICE_DUAL_GUARD"
 
@@ -54,36 +54,26 @@ def _selector(mask: int) -> bytes:
 
 
 def bits(mask: int) -> list:
-    """Indices of the set bits of a mask, ascending.
-
-    A sparse mask is walked one low bit at a time; a dense one goes through
-    the byte selector, whose C loop costs a little per bit of the mask's
-    length plus a start-up cost that the walk does not pay.  The walk is
-    the faster up to about one set bit in nine of the length: 12 set bits
-    at 64 bits, 38 at 300 (Python 3.11).
-    """
-    if mask.bit_count() * 9 <= mask.bit_length() + 45:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
-    return list(compress(count(), _selector(mask)))
+    """Indices of the set bits of a mask, ascending: the mask is walked one
+    low bit at a time, a Python step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def transpose(masks, n: int) -> list:
-    """n masks: bit i of the j-th is bit j of masks[i]."""
+    """n masks: bit i of the j-th is bit j of masks[i].  Each row is walked
+    in place, one low bit at a time."""
     out = [0] * n
     for i, mask in enumerate(masks):
         bit = 1 << i
-        if not mask & (mask - 1):
-            # At most one bit set: no list of indices is needed.
-            if mask:
-                out[mask.bit_length() - 1] |= bit
-            continue
-        for j in bits(mask):
-            out[j] |= bit
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
     return out
 
 
@@ -140,16 +130,16 @@ def name_key(name) -> tuple:
 
 class Codec:
     """A universe of pairwise distinct names, and the translation between
-    sets of its names and bitmasks (bit i stands for names[i])."""
+    sets of its names and bitmasks (bit i stands for names[i]).  One dict,
+    `bit`, maps each name to its bit; `position` reads the index off it."""
 
-    __slots__ = ("names", "index", "bit", "kind", "_tables")
+    __slots__ = ("names", "bit", "kind", "_tables")
 
     def __init__(self, names, kind: str):
         self.names = tuple(names)
-        self.index = {x: i for i, x in enumerate(self.names)}
-        self.bit = {x: 1 << i for x, i in self.index.items()}
+        self.bit = {x: 1 << i for i, x in enumerate(self.names)}
         self.kind = kind
-        if len(self.index) != len(self.names):
+        if len(self.bit) != len(self.names):
             raise ValueError(f"{kind} names must be pairwise distinct")
 
     def _unknown(self, name) -> ValueError:
@@ -157,7 +147,7 @@ class Codec:
 
     def position(self, name) -> int:
         try:
-            return self.index[name]
+            return self.bit[name].bit_length() - 1
         except KeyError:
             raise self._unknown(name) from None
 
@@ -192,12 +182,13 @@ class Codec:
 
         Up to 32 names, a mask is decoded a byte at a time: each byte value
         indexes a table of the 256 name sets of that byte's names, and the
-        sets of a mask's bytes are joined.  Each union copies a set, so the
-        tables are the faster up to four bytes and the byte selector beyond:
-        per mask of density 1/4, 2.0 against 2.6 us at 32 names, 4.8 against
-        2.9 us at 40 (Python 3.11).  The tables cost about 50 us per full
-        byte; they are built at the first call and kept, so building a codec
-        costs no more.
+        sets of a mask's bytes are joined: two bytes up to 16 names, then one
+        more per 8 names.  Each union copies a set, so the tables are the
+        faster up to four bytes and the byte selector beyond: per mask of
+        density 1/4, 2.0 against 2.6 us at 32 names, 4.8 against 2.9 us at
+        40 (Python 3.11).  The tables cost about 50 us per full byte; they
+        are built at the first call and kept, so building a codec costs no
+        more.
         """
         n = len(self.names)
         if n > 32:
@@ -207,8 +198,6 @@ class Codec:
         except AttributeError:  # the first call on this codec builds them
             self._tables = [_byte_table(self.names[k : k + 8]) for k in range(0, 32, 8)]
             t0, t1, t2, t3 = self._tables
-        if n <= 8:
-            return [t0[m & 255] for m in masks]
         if n <= 16:
             return [t0[m & 255] | t1[m >> 8 & 255] for m in masks]
         if n <= 24:

@@ -479,6 +479,16 @@ def test_reduce_sat2amh_then_amh_false(capsys, tmp_path):
     assert json.loads(out) == {"additional": False}
 
 
+def test_reduce_sat2amh_stops_at_the_satlib_trailer(capsys, tmp_path):
+    runs = []
+    for trailer in ("", "%\n0\n\n"):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 2\n1 -2 0\n-1 0\n" + trailer)
+        runs.append(run_cli(capsys, "reduce", "sat2amh", "--cnf", str(cnf)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
 def test_reduce_dci2mibr(capsys, tmp_path):
     ctx_path = tmp_path / "ctx.cxt"
     # contraordinal context of the 2-antichain: a contranominal square
@@ -600,6 +610,35 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert "deep.json: JSON nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "verb, inputs",
+    [
+        (["ctx", "concepts"], {"--context": write_cxt(contranominal_scale(3))}),
+        (
+            ["dual", "test"],
+            {
+                "--poset": json.dumps({"elements": ["p1", "p2"], "less_than": [["p1", "p2"]]}),
+                "--a": '[["p1"]]',
+                "--b": "[[]]",
+            },
+        ),
+        (["reduce", "sat2amh"], {"--cnf": "p cnf 2 2\n1 -2 0\n-1 0\n"}),
+    ],
+    ids=["cxt", "poset-json", "dimacs"],
+)
+def test_inputs_may_start_with_a_byte_order_mark(capsys, tmp_path, verb, inputs):
+    runs = []
+    for bom in ("", "\ufeff"):
+        argv = list(verb)
+        for flag, text in inputs.items():
+            path = tmp_path / flag.strip("-")
+            path.write_text(bom + text, encoding="utf-8")
+            argv += [flag, str(path)]
+        runs.append(run_cli(capsys, *argv))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
 
 
 def test_missing_file_exit_2(capsys):

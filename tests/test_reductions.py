@@ -68,6 +68,14 @@ def test_dimacs_parses_comments_and_header():
     assert cnf.clauses == ((1, -2), (-1,))
 
 
+def test_dimacs_stops_at_the_satlib_trailer():
+    # SATLIB's uf*/uuf* files end with a '%' line and then a '0' line
+    plain = "c uf2\np cnf 2 2\n1 -2 0\n-1 0\n"
+    assert parse_dimacs(plain + "%\n0\n\n") == parse_dimacs(plain)
+    # without a '%' line, a lone 0 is still an empty clause
+    assert parse_dimacs("p cnf 1 1\n0\n") == Cnf(1, [[]])
+
+
 def test_dimacs_rejects_bad_header():
     with pytest.raises(ValueError):
         parse_dimacs("p sat 2 1\n1 0\n")

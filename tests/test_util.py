@@ -44,12 +44,13 @@ def index_sets(draw, max_n=300):
 
 
 @given(index_sets())
-# either side of where `bits` stops walking: 12 | 13 set bits at 64 bits,
-# 38 | 39 at 300
+# sparse and dense masks, wide and narrow: the walk takes a step per set bit
 @example(set(range(11)) | {63})
 @example(set(range(12)) | {63})
 @example(set(range(37)) | {299})
 @example(set(range(38)) | {299})
+@example({999})
+@example(set(range(1000)))
 @example(set())
 def test_bits_are_the_sorted_indices(picked):
     assert bits(sum(1 << i for i in picked)) == sorted(picked)
@@ -90,6 +91,20 @@ def test_sets_decode_each_mask_as_members(case):
     want = [codec.members(m) for m in masks]
     assert codec.sets(masks) == want
     assert codec.sets(iter(masks)) == want
+
+
+@given(st.lists(st.one_of(st.text(max_size=3), st.integers(-50, 50)), unique=True, max_size=40))
+@example(["a", 1])
+def test_position_is_the_index_of_the_name(names):
+    codec = Codec(names, "object")
+    assert [codec.position(x) for x in names] == [names.index(x) for x in names]
+    # a number is found under an equal spelling: 1.0 finds the name 1
+    for x in names:
+        if isinstance(x, int):
+            assert codec.position(float(x)) == names.index(x)
+    with pytest.raises(ValueError) as raised:
+        codec.position(None)
+    assert str(raised.value) == "unknown object name: None"
 
 
 def test_codec_rejects_unknown_and_repeated_names():
