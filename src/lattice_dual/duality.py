@@ -2,12 +2,20 @@
 
 The recursive test runs on bitmasks over the root poset.  A subproblem is
 a triple (U, A, B): U is the universe mask of the subposet it lives on,
-and A and B are sorted tuples of masks, each member a downset of that
-subposet.  Restricting to P minus down(p) or up(p) is a mask `& ~`, so no
-subposet is ever built; names are translated only at the boundary.  A memo
-that lives for one call keys each subproblem by its triple and stores its
-verdict with the size of its subtree, so the reported node count is that
-of the full recursion tree, repeated subproblems included.
+and A and B are strictly ascending tuples of masks, each member a downset
+of that subposet.  Restricting to P minus down(p) or up(p) is a mask
+`& ~`, so no subposet is ever built; names are translated only at the
+boundary.  A memo that lives for one call keys each subproblem by its
+triple and stores its verdict with the size of its subtree, so the
+reported node count is that of the full recursion tree, repeated
+subproblems included.
+
+A subset is numerically no larger than its superset, so in an ascending
+family only the members up to a mask y can lie in y.  Two scans of every
+node rely on this: property (*) in `_check` when A is the longer family,
+and `_split`'s test for an A-member inside down(p).  `_masks` sorts, and
+`_split` keeps the order, so every family is ascending by construction;
+`_check` verifies it before either scan runs.
 """
 
 from __future__ import annotations
@@ -15,11 +23,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import reduce
-from itertools import filterfalse
 from operator import and_, or_
 
 from .poset import Poset, _is_downset
-from .util import _star, bits, family_key, is_mask_antichain, maximal_masks, minimal_masks
+from .util import (
+    _star, bits, family_key, is_ascending_antichain, is_mask_antichain, maximal_masks, minimal_masks
+)
 
 # Slack applied only on the early-reject side of the frequency thresholds:
 # borderline values are treated as passing, so a false "not dual" is never
@@ -118,7 +127,8 @@ def dualize_brute(a_family, poset: Poset) -> list:
     """
     codec = poset._codec
     # An A-member naming an element outside the poset lies in no downset.
-    a_masks = [codec.encode(s) for s in map(frozenset, a_family) if s <= codec.bit.keys()]
+    # The rest are sorted, as `_star` needs.
+    a_masks = sorted(codec.encode(s) for s in map(frozenset, a_family) if s <= codec.bit.keys())
     covered = {}
     free = []
     for x in poset._downset_masks(covered.pop):
@@ -132,26 +142,28 @@ def dualize_brute(a_family, poset: Poset) -> list:
 def _split(poset: Poset, universe: int, a: tuple, b: tuple, p: int) -> tuple:
     """The decomposition at element index p: two (U, A, B) mask triples.
 
-    The first lives on U minus down(p), the second on U minus up(p).  Raw
-    families are normalized back to antichains (minimal members on the
+    The first lives on U minus down(p), the second on U minus up(p).  A and
+    B must be strictly ascending, and the four families returned are too.
+    Raw families are normalized back to antichains (minimal members on the
     A-side, maximal on the B-side), except the first B: each of its members
     is a downset containing p, so it contains down(p), and removing down(p)
-    keeps B's members distinct, incomparable and in sorted order.  Three
-    families are built by `map` or `filterfalse` over bound `int.__and__`
-    methods, with no Python step per member; the first B, which needs a
-    filter and a map, is faster as a list comprehension.
+    keeps B's members distinct, incomparable and in order.  The first A is
+    {empty set} when an A-member lies in down(p); only the A-members up to
+    down(p) can, so `_star` scans only those, and none when the least
+    A-member is larger.  Two filters are list comprehensions, which are
+    faster than `filterfalse` over a bound method.
     """
     below = poset._down[p] & universe
     above = poset._up[p] & universe
     bit = 1 << p
-    first = (
-        universe & ~below,
-        minimal_masks(map((~below).__and__, a)),
-        tuple([y & ~below for y in b if y & bit]),
-    )
+    if a and a[0] <= below and not _star(a, (below,)):
+        first_a = (0,)
+    else:
+        first_a = minimal_masks(map((~below).__and__, a))
+    first = (universe & ~below, first_a, tuple([y & ~below for y in b if y & bit]))
     second = (
         universe & ~above,
-        tuple(filterfalse(bit.__and__, a)),
+        tuple([x for x in a if not x & bit]),
         maximal_masks(map((~above).__and__, b)),
     )
     return first, second
@@ -175,21 +187,25 @@ def decompose(inst: DualityInstance, p: str):
 def _check(poset: Poset, universe: int, a: tuple, b: tuple, depth: int) -> None:
     """Invariants every subproblem must meet; a failure is a bug here.
 
-    Each member must lie in U, be a downset of it and belong to an
-    antichain.  When no element of U is above another element of the poset,
-    every subset of U is a downset, so only containment in U is tested, on
-    the union of the members.
+    Each family must be strictly ascending and an antichain, and each
+    member must lie in U and be a downset of it.  When no element of U is
+    above another element of the poset, every subset of U is a downset, so
+    only containment in U is tested, on the union of the members.  Property
+    (*) is tested last: `_star` scans only the A-members up to each
+    B-member, as `_split` does up to down(p), which is exact only for an
+    ascending A.  Strict order also shows the members distinct, so the
+    antichain test needs no set of them.
     """
     if depth < 0:
         raise RuntimeError("duality recursion guard exceeded (normalization bug)")
-    if not _star(a, b):
-        raise RuntimeError("subproblem lost property (*) (normalization bug)")
     if universe & poset._nonmin:
         downsets = all(_is_downset(poset, universe, m) for m in a + b)
     else:
         downsets = not reduce(or_, a + b, 0) & ~universe
-    if not downsets or not is_mask_antichain(a) or not is_mask_antichain(b):
+    if not (downsets and is_ascending_antichain(a) and is_ascending_antichain(b)):
         raise RuntimeError("subproblem family is not an antichain of downsets (normalization bug)")
+    if not _star(a, b):
+        raise RuntimeError("subproblem lost property (*) (normalization bug)")
 
 
 def _counts(family, universe: int, elems) -> list:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -83,7 +84,8 @@ def _minimal_hypothesis_masks(t: TrainingContext, k: int):
     the closed sets on the way to a minimal hypothesis are closed proper
     subsets of it, so none is a hypothesis and none is pruned.  Lectic
     order extends inclusion, so a pruned hit is minimal exactly when no
-    earlier minimal hit lies below it.  Each closed set is tested once: the
+    earlier minimal hit lies below it; the minimal hits are kept in
+    ascending order, as `_star` needs.  Each closed set is tested once: the
     engine asks prune(b) only after b is received here, so the prune
     predicate pops the verdict stored for b.
     """
@@ -92,7 +94,7 @@ def _minimal_hypothesis_masks(t: TrainingContext, k: int):
     for b in closed_masks(*t.positive._extent_step(), verdict.pop):
         verdict[b] = hit = _negative_cover_count(t, b) <= k
         if hit and _star(kept, (b,)):
-            kept.append(b)
+            insort(kept, b)
             yield b
     if not kept:
         yield (1 << len(t.attributes)) - 1

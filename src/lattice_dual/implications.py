@@ -124,7 +124,7 @@ def dci_to_mibr(ctx: FormalContext, a_family, b_family, imps):
     a_masks, b_masks = masks[: len(a_family)], masks[len(a_family) :]
     if not (is_mask_antichain(a_masks) and is_mask_antichain(b_masks)):
         raise ValueError("A and B must be antichains")
-    if not _star(a_masks, b_masks):
+    if not _star(sorted(a_masks), b_masks):
         raise ValueError("property (*) violated")
     if not is_base(ctx, imps):
         raise ValueError("the given implication set is not a base of the context")

@@ -13,6 +13,7 @@ downsets included, are all listed by Close-by-One, `closed_masks`."""
 import os
 from bisect import bisect_left, bisect_right
 from itertools import compress, filterfalse
+from operator import lt
 
 GUARD_ENV = "LATTICE_DUAL_GUARD"
 
@@ -226,15 +227,17 @@ def _byte_table(names: tuple) -> list:
 # -- antichains of masks -----------------------------------------------
 
 
-def is_mask_antichain(family) -> bool:
-    """No member contains another; a repeated member counts as contained."""
+def is_ascending_antichain(family) -> bool:
+    """The family is strictly ascending and an antichain: each member is
+    numerically less than the next, so none is repeated, and no member
+    contains another."""
     if len(family) < 2:
         return True
     if len(family) == 2:
-        # distinct, and neither inside the other
+        # when s < t, t does not lie in s; s must not lie in t
         s, t = family
-        return bool(s & ~t and t & ~s)
-    if len(set(family)) != len(family):
+        return s < t and bool(s & ~t)
+    if not all(map(lt, family, family[1:])):
         return False
     # Distinct members of equal size are incomparable, so each member is
     # tested only against strictly larger ones: those of the largest size
@@ -248,6 +251,13 @@ def is_mask_antichain(family) -> bool:
         if s in map(s.__and__, by_size[bisect_right(sizes, size):]):
             return False
     return True
+
+
+def is_mask_antichain(family) -> bool:
+    """No member contains another; a repeated member counts as contained.
+    Sorted, the family holds a repeat exactly when it is not strictly
+    ascending."""
+    return is_ascending_antichain(sorted(family))
 
 
 def minimal_masks(family) -> tuple:
@@ -290,9 +300,13 @@ def maximal_masks(family) -> tuple:
 
 def _star(a, b) -> bool:
     """Property (*) on masks: no member of a is a subset of a member of b.
+    The members of a must be in ascending order.
 
     The shorter family is looped over and the longer one scanned in C:
-    x lies in y exactly when x & y == x, and exactly when x & ~y == 0.
+    x lies in y exactly when x & y == x, and exactly when x & ~y == 0.  A
+    subset is numerically no larger than its superset, so when a is the
+    longer family only its members up to y can lie in y, and only those are
+    scanned.
     """
     if len(a) <= len(b):
         for x in a:
@@ -300,7 +314,7 @@ def _star(a, b) -> bool:
                 return False
     else:
         for y in b:
-            if 0 in map((~y).__and__, a):
+            if 0 in map((~y).__and__, a[: bisect_right(a, y)]):
                 return False
     return True
 

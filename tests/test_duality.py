@@ -26,7 +26,7 @@ from lattice_dual import test_duality_stats as duality_test_stats
 from lattice_dual import duality as duality_layer
 from lattice_dual import poset as poset_layer
 from lattice_dual.duality import _THRESHOLD_SLACK, _check, _counts, _masks, _pivot, _split
-from lattice_dual.util import Codec, bits, maximal_masks
+from lattice_dual.util import Codec, _star, bits, maximal_masks, minimal_masks
 
 from conftest import (
     composed_instance,
@@ -361,11 +361,20 @@ def test_duality_stats_matching_k9_node_count():
 
 
 ANTI100 = poset_from_pairs([f"p{i}" for i in range(1, 101)], [])
+ANTI60 = poset_from_pairs([f"p{i}" for i in range(1, 61)], [])
+ANTI300 = poset_from_pairs([f"p{i}" for i in range(1, 301)], [])
 
 
-def test_duality_stats_trivial_antichain_node_count():
-    inst = DualityInstance(ANTI100, [{e} for e in ANTI100.elements], [set()])
-    assert duality_test_stats(inst) == (True, 201)
+@pytest.mark.parametrize(
+    "poset, dropped, expected",
+    [(ANTI100, 0, (True, 201)), (ANTI300, 0, (True, 601)), (ANTI60, 1, (False, 119))],
+    ids=["trivial-100", "trivial-300", "missing-a-60"],
+)
+def test_duality_stats_trivial_antichain_node_count(poset, dropped, expected):
+    # A holds every singleton but the last `dropped`, and B = {empty set}
+    singletons = [{e} for e in poset.elements]
+    inst = DualityInstance(poset, singletons[: len(singletons) - dropped], [set()])
+    assert duality_test_stats(inst) == expected
 
 
 @pytest.mark.parametrize(
@@ -492,6 +501,8 @@ FLAT5 = poset_from_pairs([f"p{i}" for i in range(1, 6)], [])
         (FLAT5, 0b00011, (), (0b01000,), 5, "antichain of downsets"),
         # (*) broken by the smaller of two A-members
         (FLAT5, 0b11111, (0b00001, 0b11100), (0b00011,), 5, r"property \(\*\)"),
+        # an antichain of downsets out of ascending order
+        (FLAT5, 0b11111, (0b11100, 0b00011), (), 5, "antichain of downsets"),
     ],
 )
 def test_check_rejects_bad_subproblems(poset, universe, a, b, depth, message):
@@ -500,12 +511,44 @@ def test_check_rejects_bad_subproblems(poset, universe, a, b, depth, message):
 
 
 def test_check_accepts_a_good_subproblem():
-    _check(FLAT5, 0b11111, (0b00011, 0b11100), (0b10101, 0b01010), 0)
+    _check(FLAT5, 0b11111, (0b00011, 0b11100), (0b01010, 0b10101), 0)
     _check(CHAIN3, 0b110, (0b010,), (0b000,), 0)
     # an empty family on a flat U, beside members of U, and both empty
     _check(FLAT5, 0b00110, (), (0b00110,), 0)
     _check(FLAT5, 0b00110, (0b00010, 0b00100), (), 0)
     _check(FLAT5, 0b00110, (), (), 0)
+
+
+# -- scans pruned by the ascending order ---------------------------------------
+
+MASKS6 = st.integers(0, 63)
+
+
+@st.composite
+def pruned_scan_cases(draw):
+    """A poset on six elements, an element p of it, an ascending antichain A
+    and a short family B.  A may be empty, hold one member or be {empty set},
+    and it often holds down(p) or a member of B, the bounds of the scans."""
+    names = [f"p{i}" for i in range(1, 7)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5))))
+    poset = poset_from_pairs(names, [(names[i], names[j]) for i, j in pairs if i < j])
+    p = draw(st.integers(0, 5))
+    below = poset._down[p]
+    b = tuple(draw(st.lists(MASKS6, max_size=3)))
+    bounds = [below, *b]
+    extra = draw(st.lists(st.sampled_from(bounds), max_size=2))
+    a = minimal_masks(draw(st.lists(MASKS6, max_size=8)) + extra)
+    return poset, p, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(pruned_scan_cases())
+def test_pruned_scans_agree_with_the_full_ones(case):
+    poset, p, a, b = case
+    assert _star(a, b) == (not any(x & ~y == 0 for x in a for y in b))
+    below = poset._down[p]
+    (_, first_a, _), _ = _split(poset, 0b111111, a, (), p)
+    assert first_a == minimal_masks(map((~below).__and__, a))
 
 
 # -- exactness: verdicts and node counts pinned --------------------------------
