@@ -143,10 +143,8 @@ class FormalContext:
                 c = failed.get(e)
                 if c is None:
                     c = _meet(rows, n, e)
-                    if c & outside & (bit - 1):
-                        failed[e] = c
-                        continue
-                elif c & outside & (bit - 1):
+                if c & outside & (bit - 1):
+                    failed[e] = c
                     continue
                 out.append((c, e, j + 1))
             return out

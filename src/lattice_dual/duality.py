@@ -184,7 +184,7 @@ def decompose(inst: DualityInstance, p: str):
     )
 
 
-def _check(poset: Poset, universe: int, a: tuple, b: tuple, depth: int) -> None:
+def _check(poset: Poset, universe: int, a: tuple, b: tuple) -> None:
     """Invariants every subproblem must meet; a failure is a bug here.
 
     Each family must be strictly ascending and an antichain, and each
@@ -196,8 +196,6 @@ def _check(poset: Poset, universe: int, a: tuple, b: tuple, depth: int) -> None:
     ascending A.  Strict order also shows the members distinct, so the
     antichain test needs no set of them.
     """
-    if depth < 0:
-        raise RuntimeError("duality recursion guard exceeded (normalization bug)")
     if universe & poset._nonmin:
         downsets = all(_is_downset(poset, universe, m) for m in a + b)
     else:
@@ -272,32 +270,34 @@ def _pivot(poset: Poset, universe: int, a: tuple, b: tuple) -> int | None:
 def _solve(poset: Poset, universe: int, a: tuple, b: tuple) -> tuple:
     """(dual, nodes) of a mask triple over poset.
 
-    Runs the recursion on an explicit stack.  A frame holds a subproblem's
-    key, its second half while the first is being solved, and the nodes
-    counted so far; when a half is solved its (dual, nodes) is handed to
-    the frame below.  The second half is solved only if the first is dual.
+    Runs the recursion on an explicit stack.  A frame holds a subproblem,
+    its second half while the first is being solved, and the nodes counted
+    so far; when a half is solved its (dual, nodes) is handed to the frame
+    below.  The second half is solved only if the first is dual.  A pivot
+    in U leaves both halves without it, so the depth is at most |U|; a
+    pivot outside U is a bug, and is raised before its split.
     """
     memo = {}
     stack = []
-    todo = (universe, a, b, universe.bit_count() + len(a) + len(b) + 2)
+    todo = (universe, a, b)
     while True:
         if todo is not None:
-            universe, a, b, depth = todo
-            key = (universe, a, b)
-            done = memo.get(key)
+            done = memo.get(todo)
             if done is None:
-                _check(poset, universe, a, b, depth)
+                _check(poset, *todo)
+                universe, a, b = todo
                 if not a or not b:
                     done = (_easy(universe, a, b), 1)
                 elif (p := _pivot(poset, universe, a, b)) is None:
                     done = (False, 1)
                 else:
-                    depth = min(depth, universe.bit_count() + len(a) + len(b) + 2) - 1
+                    if not universe >> p & 1:
+                        raise RuntimeError(f"pivot {p} lies outside U (normalization bug)")
                     first, second = _split(poset, universe, a, b, p)
-                    stack.append([key, (*second, depth), 1])
-                    todo = (*first, depth)
+                    stack.append([todo, second, 1])
+                    todo = first
                     continue
-                memo[key] = done
+                memo[todo] = done
             todo = None
         if not stack:
             return done

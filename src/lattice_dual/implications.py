@@ -22,23 +22,26 @@ class Implication(namedtuple("Implication", "premise conclusion")):
         return super().__new__(cls, frozenset(premise), frozenset(conclusion))
 
 
+def _chain(rules, x: int) -> int:
+    """The least superset of x closed under the rules, (premise, conclusion)
+    mask pairs: forward chaining."""
+    grown = True
+    while grown:
+        grown = False
+        for p, c in rules:
+            if p & x == p and c & ~x:
+                x |= c
+                grown = True
+    return x
+
+
 def imp_closure(imps: Iterable[Implication], xs: Iterable[str]) -> frozenset:
-    """Least superset of xs closed under every implication (forward chaining)."""
-    closed = set(xs)
-    pending = list(imps)
-    changed = True
-    while changed:
-        changed = False
-        rest = []
-        for imp in pending:
-            if imp.premise <= closed:
-                if not imp.conclusion <= closed:
-                    closed |= imp.conclusion
-                    changed = True
-            else:
-                rest.append(imp)
-        pending = rest
-    return frozenset(closed)
+    """Least superset of xs closed under every implication (forward chaining
+    over one codec of xs and every name the implications use)."""
+    imps, xs = list(imps), frozenset(xs)
+    codec = Codec(xs.union(*(i.premise | i.conclusion for i in imps)), "attribute")
+    rules = [(codec.encode(i.premise), codec.encode(i.conclusion)) for i in imps]
+    return codec.members(_chain(rules, codec.encode(xs)))
 
 
 def is_valid(ctx: FormalContext, imp: Implication) -> bool:
@@ -62,17 +65,6 @@ def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
     if any(ctx._close_amask(p) & c != c for p, c in rules):
         return False
 
-    def chain(x: int) -> int:
-        """The least superset of x closed under the rules: forward chaining."""
-        grown = True
-        while grown:
-            grown = False
-            for p, c in rules:
-                if p & x == p and c & ~x:
-                    x |= c
-                    grown = True
-        return x
-
     full = (1 << len(ctx.attributes)) - 1
 
     def children(x, _, y):
@@ -82,12 +74,12 @@ def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
         while free:
             bit = free & -free
             free ^= bit
-            c = chain(x | bit)
+            c = _chain(rules, x | bit)
             if not c & outside & (bit - 1):
                 out.append((c, None, bit.bit_length()))
         return out
 
-    return all(ctx._close_amask(x) == x for x in closed_masks(children, (chain(0), None)))
+    return all(ctx._close_amask(x) == x for x in closed_masks(children, (_chain(rules, 0), None)))
 
 
 def contraordinal_context(poset: Poset) -> FormalContext:

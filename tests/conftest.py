@@ -167,9 +167,10 @@ def relabelled_instance(rng: random.Random, inst: DualityInstance) -> DualityIns
     )
 
 
-def composed_instance(rng: random.Random, parts: int) -> DualityInstance:
-    """A dual instance of 21-33 elements, the disjoint union of `parts` (2 or
-    3) brute-planted pieces of about 21 / parts elements each.
+def composed_instance(rng: random.Random, parts: int, n: int = 21) -> DualityInstance:
+    """A dual instance of at least n elements, the disjoint union of `parts`
+    brute-planted pieces of n / parts to n / parts + 4 elements each: 21-33
+    elements for the default n and 2 or 3 parts.
 
     A is the union of the pieces' A-families, every member nonempty, and B
     is the product of their B-families: {b_1 | ... | b_r}.  The downsets of
@@ -179,7 +180,7 @@ def composed_instance(rng: random.Random, parts: int) -> DualityInstance:
     """
     from lattice_dual import dualize_brute
 
-    low = -(-21 // parts)
+    low = -(-n // parts)
     names, pairs, fam_a, fam_b = [], [], [], [frozenset()]
     for part in range(parts):
         while True:
@@ -194,6 +195,45 @@ def composed_instance(rng: random.Random, parts: int) -> DualityInstance:
         fam_a += [frozenset(map(tag.get, x)) for x in a]
         fam_b = [s | frozenset(map(tag.get, y)) for s in fam_b for y in b]
     return DualityInstance(Poset.from_pairs(names, pairs), fam_a, fam_b)
+
+
+def transversal_dual(a, poset: Poset, cap: int = 10_000) -> list:
+    """dual(A), the maximal downsets holding no A-member, by minimal
+    transversals: max { P - up(T) : T a minimal transversal of max(A) }.
+
+    P - x is an up-set, and an up-set meets a downset exactly when it holds
+    one of the downset's maximal elements.  So a downset x holds no A-member
+    exactly when some T within P - x meets the maximal elements of every
+    A-member, and the least such P - x are the up(T) of the minimal
+    transversals T of max(A) = { max(a) : a in A }, a plain hypergraph.  They
+    are grown one edge E at a time by Berge multiplication: each transversal
+    T missing E becomes the sets T + {e}, e in E.  Such a set is not minimal
+    only when it holds a kept T' (one meeting E); then e is in T', so only
+    the kept sets holding e are compared.  More than `cap` transversals is
+    an error.  Only up-sets and set operations are used, and the members are
+    listed in no set order.
+    """
+    transversals = [frozenset()]
+    for member in map(frozenset, a):
+        edge = {e for e in member if not poset.up_set(e) & member - {e}}
+        kept = [t for t in transversals if t & edge]
+        grown = [
+            t | {e}
+            for t in transversals if not t & edge
+            for e in edge
+            if not any(e in k and k <= t | {e} for k in kept)
+        ]
+        transversals = kept + grown
+        if len(transversals) > cap:
+            raise ValueError(f"more than {cap} minimal transversals")
+    full = frozenset(poset.elements)
+    free = {full.difference(*map(poset.up_set, t)) for t in transversals}
+    # A set lies only in larger ones, so each size is compared only with
+    # the maximal sets of the sizes above it.
+    out = []
+    for _, same in itertools.groupby(sorted(free, key=len, reverse=True), key=len):
+        out += [x for x in same if not any(x < y for y in out)]
+    return out
 
 
 def random_context(rng: random.Random, max_objects: int, max_attrs: int,

@@ -287,6 +287,13 @@ def test_hypo_amh_rejects_a_nonzero_k(capsys, worked_files, tmp_path, k):
     assert err == "error: amh supports only --k 0\n"
 
 
+def test_hypo_amh_without_hyps_exit_2(capsys, worked_files):
+    pos, neg = worked_files
+    code, out, err = run_cli(capsys, "hypo", "amh", "--pos", pos, "--neg", neg)
+    assert (code, out) == (2, "")
+    assert err == "error: amh needs --hyps\n"
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

@@ -36,6 +36,7 @@ from conftest import (
     random_instance,
     random_poset,
     relabelled_instance,
+    transversal_dual,
 )
 
 CHAIN3 = poset_from_pairs(["p1", "p2", "p3"], [("p1", "p2"), ("p2", "p3")])
@@ -317,6 +318,11 @@ def test_duality_rejects_star_violation():
         duality_test(DualityInstance(ANTI2, [{"p1"}], [{"p1", "p2"}]))
 
 
+def test_brute_rejects_star_violation():
+    with pytest.raises(ValueError, match=r"property \(\*\) violated"):
+        brute_force_dual(DualityInstance(ANTI2, [{"p1"}], [{"p1", "p2"}]))
+
+
 def test_duality_stats_counts_calls():
     inst = DualityInstance(ANTI2, [{"p1", "p2"}], [{"p1"}, {"p2"}])
     dual, calls = duality_test_stats(inst)
@@ -481,42 +487,70 @@ FLAT5 = poset_from_pairs([f"p{i}" for i in range(1, 6)], [])
 
 
 @pytest.mark.parametrize(
-    "poset, universe, a, b, depth, message",
+    "poset, universe, a, b, message",
     [
         # a member outside U, where U is flat and where it is ordered
-        (FLAT5, 0b00011, (0b00100,), (0b00001,), 5, "antichain of downsets"),
-        (CHAIN3, 0b011, (0b100,), (0b001,), 5, "antichain of downsets"),
+        (FLAT5, 0b00011, (0b00100,), (0b00001,), "antichain of downsets"),
+        (CHAIN3, 0b011, (0b100,), (0b001,), "antichain of downsets"),
         # p2 without p1 below it
-        (CHAIN3, 0b111, (0b010,), (0b001,), 5, "antichain of downsets"),
+        (CHAIN3, 0b111, (0b010,), (0b001,), "antichain of downsets"),
         # p1 within {p1, p2}, both below the size of the top member
-        (FLAT5, 0b11111, (0b00001, 0b00011, 0b11100), (), 5, "antichain of downsets"),
+        (FLAT5, 0b11111, (0b00001, 0b00011, 0b11100), (), "antichain of downsets"),
         # a repeated member where every member has one size
-        (FLAT5, 0b11111, (0b00011, 0b00011), (0b10000,), 5, "antichain of downsets"),
-        (ANTI2, 0b11, (0b01,), (0b11,), 5, r"property \(\*\)"),
-        (ANTI2, 0b11, (0b01,), (0b10,), -1, "recursion guard"),
+        (FLAT5, 0b11111, (0b00011, 0b00011), (0b10000,), "antichain of downsets"),
+        (ANTI2, 0b11, (0b01,), (0b11,), r"property \(\*\)"),
         # a repeated member in a one-size B
-        (FLAT5, 0b11111, (), (0b00100, 0b00100), 5, "antichain of downsets"),
+        (FLAT5, 0b11111, (), (0b00100, 0b00100), "antichain of downsets"),
         # a member outside a flat U while the other family is empty
-        (FLAT5, 0b00011, (0b00100,), (), 5, "antichain of downsets"),
-        (FLAT5, 0b00011, (), (0b01000,), 5, "antichain of downsets"),
+        (FLAT5, 0b00011, (0b00100,), (), "antichain of downsets"),
+        (FLAT5, 0b00011, (), (0b01000,), "antichain of downsets"),
         # (*) broken by the smaller of two A-members
-        (FLAT5, 0b11111, (0b00001, 0b11100), (0b00011,), 5, r"property \(\*\)"),
+        (FLAT5, 0b11111, (0b00001, 0b11100), (0b00011,), r"property \(\*\)"),
         # an antichain of downsets out of ascending order
-        (FLAT5, 0b11111, (0b11100, 0b00011), (), 5, "antichain of downsets"),
+        (FLAT5, 0b11111, (0b11100, 0b00011), (), "antichain of downsets"),
+    ],
+    # Each case keeps the id it has always run under, from when the table
+    # also held a recursion depth (5 in every case kept), so that results
+    # compare across runs.
+    ids=[
+        "poset0-3-a0-b0-5-antichain of downsets",
+        "poset1-3-a1-b1-5-antichain of downsets",
+        "poset2-7-a2-b2-5-antichain of downsets",
+        "poset3-31-a3-b3-5-antichain of downsets",
+        "poset4-31-a4-b4-5-antichain of downsets",
+        "poset5-3-a5-b5-5-property \\(\\*\\)",
+        "poset7-31-a7-b7-5-antichain of downsets",
+        "poset8-3-a8-b8-5-antichain of downsets",
+        "poset9-3-a9-b9-5-antichain of downsets",
+        "poset10-31-a10-b10-5-property \\(\\*\\)",
+        "poset11-31-a11-b11-5-antichain of downsets",
     ],
 )
-def test_check_rejects_bad_subproblems(poset, universe, a, b, depth, message):
+def test_check_rejects_bad_subproblems(poset, universe, a, b, message):
     with pytest.raises(RuntimeError, match=message):
-        _check(poset, universe, a, b, depth)
+        _check(poset, universe, a, b)
 
 
 def test_check_accepts_a_good_subproblem():
-    _check(FLAT5, 0b11111, (0b00011, 0b11100), (0b01010, 0b10101), 0)
-    _check(CHAIN3, 0b110, (0b010,), (0b000,), 0)
+    _check(FLAT5, 0b11111, (0b00011, 0b11100), (0b01010, 0b10101))
+    _check(CHAIN3, 0b110, (0b010,), (0b000,))
     # an empty family on a flat U, beside members of U, and both empty
-    _check(FLAT5, 0b00110, (), (0b00110,), 0)
-    _check(FLAT5, 0b00110, (0b00010, 0b00100), (), 0)
-    _check(FLAT5, 0b00110, (), (), 0)
+    _check(FLAT5, 0b00110, (), (0b00110,))
+    _check(FLAT5, 0b00110, (0b00010, 0b00100), ())
+    _check(FLAT5, 0b00110, (), ())
+
+
+def test_a_pivot_outside_u_is_a_normalization_bug(monkeypatch):
+    # A split at an element of U leaves it in neither half, which bounds the
+    # depth by |U|.  A pivot rule that always answers element 0 is right
+    # once, at the root; in the second half, where 0 is gone, a split would
+    # shrink nothing and answer (False, 4) on this dual instance.
+    names = [f"p{i}" for i in range(1, 7)]
+    inst = DualityInstance(poset_from_pairs(names, []), [{x} for x in names], [set()])
+    assert duality_test_stats(inst) == (True, 13)
+    monkeypatch.setattr(duality_layer, "_pivot", lambda poset, universe, a, b: 0)
+    with pytest.raises(RuntimeError, match=r"pivot 0 lies outside U \(normalization bug\)"):
+        duality_test_stats(inst)
 
 
 # -- scans pruned by the ascending order ---------------------------------------
@@ -741,6 +775,36 @@ def test_a_composed_instance_is_dual_and_not_once_a_b_member_is_dropped(rng, par
     assert duality_test(inst)
     dropped = without_b_member(inst, data.draw(st.integers(0, len(inst.b) - 1)))
     assert not duality_test(dropped)
+
+
+# -- an absolute judge above the oracle guard ----------------------------------
+
+
+def judged_pair(inst):
+    """The instance and its twin without the middle B-member, each with its
+    verdict from `duality_test` and from the minimal-transversal judge."""
+    pair = (inst, without_b_member(inst, len(inst.b) // 2))
+    judge = [set(x.b) == set(transversal_dual(x.a, x.poset)) for x in pair]
+    return [duality_test(x) for x in pair], judge
+
+
+@pytest.mark.parametrize("k", [10, 11])
+def test_matchings_at_the_guard_agree_with_the_transversal_judge(k):
+    # 20 and 22 elements: the second is past the oracle's guard
+    inst = DualityInstance(*matching_instance(k))
+    assert judged_pair(inst) == ([True, False], [True, False])
+
+
+# (parts, n, seed) of composed instances of 36 to 275 elements.  Without a
+# split at components the recursion takes seconds or more on most composed
+# instances above 60 elements; these seeds answer in about 0.1 s or less.
+@pytest.mark.parametrize(
+    "parts, n, seed", [(3, 30, 3), (10, 30, 4), (20, 60, 4), (40, 120, 6), (60, 180, 4)]
+)
+def test_composed_instances_agree_with_the_transversal_judge(parts, n, seed):
+    inst = composed_instance(random.Random(seed), parts, n)
+    assert 30 <= len(inst.poset) <= 300
+    assert judged_pair(inst) == ([True, False], [True, False])
 
 
 # -- the pivot rule against the full scan ----------------------------------------

@@ -92,6 +92,41 @@ def test_imp_closure_of_all_valid_implications_is_double_prime():
                 assert imp_closure(j, sub) == ctx.close_attributes(sub)
 
 
+def reference_closure(imps, xs):
+    """Forward chaining over name sets: fire each implication whose premise
+    holds, until a pass adds no name."""
+    closed = set(xs)
+    pending = list(imps)
+    changed = True
+    while changed:
+        changed = False
+        rest = []
+        for i in pending:
+            if i.premise <= closed:
+                if not i.conclusion <= closed:
+                    closed |= i.conclusion
+                    changed = True
+            else:
+                rest.append(i)
+        pending = rest
+    return frozenset(closed)
+
+
+# The implications name a-f; the start set may also hold g and h, which
+# appear in no premise and no conclusion.
+IMP_NAMES = st.sampled_from("abcdef")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.builds(imp, st.sets(IMP_NAMES, max_size=3), st.sets(IMP_NAMES, max_size=3)),
+             max_size=8),
+    st.sets(st.sampled_from("abcdefgh"), max_size=4),
+)
+def test_imp_closure_matches_the_name_set_reference(imps, xs):
+    assert imp_closure(imps, xs) == reference_closure(imps, xs)
+
+
 # -- validity and Armstrong soundness -------------------------------------
 
 

@@ -86,6 +86,18 @@ def test_dimacs_rejects_missing_terminator():
         parse_dimacs("p cnf 1 1\n1\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 0\np cnf 1 1\n", "DIMACS clause before 'p cnf' header"),
+        ("c a comment and nothing else\n", "missing 'p cnf' header"),
+    ],
+)
+def test_dimacs_rejects_a_missing_header(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_dimacs(text)
+
+
 # -- SAT -> AMH ----------------------------------------------------------------
 
 
