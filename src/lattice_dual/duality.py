@@ -40,6 +40,7 @@ class DualityInstance(namedtuple("DualityInstance", "poset a b")):
     """A poset together with two antichains of its downsets."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, poset: Poset, a, b):
         """Each member is encoded once; the family keeps the caller's sets,

@@ -14,6 +14,7 @@ class TrainingContext(namedtuple("TrainingContext", "positive negative")):
     """Positive and negative contexts over one shared attribute list."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, positive: FormalContext, negative: FormalContext):
         if positive.attributes != negative.attributes:

@@ -17,6 +17,7 @@ IS_BASE_GUARD = 18
 
 class Implication(namedtuple("Implication", "premise conclusion")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, premise: Iterable[str], conclusion: Iterable[str]):
         return super().__new__(cls, frozenset(premise), frozenset(conclusion))

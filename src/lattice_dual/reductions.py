@@ -21,6 +21,7 @@ class Cnf(namedtuple("Cnf", "num_vars clauses")):
     """Clauses as lists of nonzero signed variable indices."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, num_vars: int, clauses: Iterable[Iterable[int]]):
         clauses = tuple(tuple(c) for c in clauses)
@@ -83,10 +84,6 @@ def write_dimacs(cnf: Cnf) -> str:
 # -- SAT -> AMH ---------------------------------------------------------
 
 
-def _lit_name(lit: int) -> str:
-    return f"x{lit}" if lit > 0 else f"!x{-lit}"
-
-
 def literal_attributes(n: int) -> list:
     out = []
     for i in range(1, n + 1):
@@ -99,13 +96,14 @@ def sat_to_amh(cnf: Cnf):
     """Build the training context whose additional minimal hypotheses
     correspond to satisfying assignments.
 
-    Attributes are one per clause plus one per literal.  Positive objects:
-    one per literal (clause columns mark clauses NOT containing the
-    literal; the literal block is a contranominal scale) and one per
-    clause (carrying only its own clause column).  Negative objects: one
-    per variable, holding every literal column except the variable's own
-    pair.  Returns the context together with the clause singletons, each
-    validated to be a minimal hypothesis.
+    Attributes are one per clause plus one per literal: bit j < k stands for
+    clause j + 1, bit k + 2(i - 1) for x_i and the next bit for !x_i.
+    Positive objects: one per literal, whose row holds the clauses NOT
+    containing the literal and the literal block without the literal's own
+    bit (a contranominal scale), and one per clause, holding only its own
+    clause bit.  Negative objects: one per variable, holding the literal
+    block without the variable's pair.  Returns the context together with
+    the clause singletons, each validated to be a minimal hypothesis.
     """
     n, k = cnf.num_vars, len(cnf.clauses)
     if n < 1 or k < 1:
@@ -113,25 +111,21 @@ def sat_to_amh(cnf: Cnf):
     clause_attrs = [f"C{j}" for j in range(1, k + 1)]
     lit_attrs = literal_attributes(n)
     attributes = clause_attrs + lit_attrs
-    clause_sets = [frozenset(map(_lit_name, clause)) for clause in cnf.clauses]
-
-    pos_objects = [f"g_{name}" for name in lit_attrs] + [f"g_C{j}" for j in range(1, k + 1)]
-    pos_intents = []
-    for name in lit_attrs:
-        marks = {f"C{j + 1}" for j, cs in enumerate(clause_sets) if name not in cs}
-        marks |= set(lit_attrs) - {name}
-        pos_intents.append(marks)
-    for j in range(1, k + 1):
-        pos_intents.append({f"C{j}"})
-
-    neg_objects = [f"g_l{i}" for i in range(1, n + 1)]
-    neg_intents = [
-        set(lit_attrs) - {f"x{i}", f"!x{i}"} for i in range(1, n + 1)
-    ]
+    all_clauses, block = (1 << k) - 1, ((1 << 2 * n) - 1) << k
+    # holding[b]: the clauses that contain the literal of bit k + b
+    holding = [0] * (2 * n)
+    for j, clause in enumerate(cnf.clauses):
+        for lit in clause:
+            holding[2 * abs(lit) - 2 + (lit < 0)] |= 1 << j
+    pos_rows = [(all_clauses & ~c) | (block & ~(1 << (k + b))) for b, c in enumerate(holding)]
+    pos_rows += [1 << j for j in range(k)]
+    neg_rows = [block & ~(3 << (k + 2 * i)) for i in range(n)]
 
     training = TrainingContext(
-        FormalContext.from_intents(pos_objects, attributes, pos_intents),
-        FormalContext.from_intents(neg_objects, attributes, neg_intents),
+        FormalContext._from_rows(
+            [f"g_{name}" for name in lit_attrs + clause_attrs], attributes, pos_rows
+        ),
+        FormalContext._from_rows([f"g_l{i}" for i in range(1, n + 1)], attributes, neg_rows),
     )
     known = [frozenset({c}) for c in clause_attrs]
     empty_is_hypothesis = is_hypothesis(training, frozenset(), 0)

@@ -181,32 +181,25 @@ class Codec:
         """Each mask's names as a set, in order; bits beyond the universe
         are dropped.  Equal to `members` on each mask.
 
-        Up to 32 names, a mask is decoded a byte at a time: each byte value
+        Up to 24 names, a mask is decoded a byte at a time: each byte value
         indexes a table of the 256 name sets of that byte's names, and the
-        sets of a mask's bytes are joined: two bytes up to 16 names, then one
-        more per 8 names.  Each union copies a set, so the tables are the
-        faster up to four bytes and the byte selector beyond: per mask of
-        density 1/4, 2.0 against 2.6 us at 32 names, 4.8 against 2.9 us at
-        40 (Python 3.11).  The tables cost about 50 us per full byte; they
-        are built at the first call and kept, so building a codec costs no
-        more.
+        sets of a mask's bytes are joined: two bytes up to 16 names, three
+        up to 24.  Each union copies a set, so wider codecs decode through
+        the byte selector of `members`.  The tables cost about 50 us per
+        full byte; they are built at the first call and kept, so building a
+        codec costs no more.
         """
         n = len(self.names)
-        if n > 32:
+        if n > 24:
             return [self.members(m) for m in masks]
         try:
-            t0, t1, t2, t3 = self._tables
+            t0, t1, t2 = self._tables
         except AttributeError:  # the first call on this codec builds them
-            self._tables = [_byte_table(self.names[k : k + 8]) for k in range(0, 32, 8)]
-            t0, t1, t2, t3 = self._tables
+            self._tables = [_byte_table(self.names[k : k + 8]) for k in range(0, 24, 8)]
+            t0, t1, t2 = self._tables
         if n <= 16:
             return [t0[m & 255] | t1[m >> 8 & 255] for m in masks]
-        if n <= 24:
-            return [t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255] for m in masks]
-        return [
-            t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255] | t3[m >> 24 & 255]
-            for m in masks
-        ]
+        return [t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255] for m in masks]
 
     def family(self, masks) -> list:
         """Masks as name sets, in the family order."""
@@ -265,11 +258,10 @@ def minimal_masks(family) -> tuple:
 
     A proper subset is numerically smaller than its superset, so one pass in
     ascending order keeps exactly the minimal members, already sorted.  The
-    empty mask lies in every member, so when present it alone is minimal.
+    empty mask, when present, sorts first and lies in every later member,
+    so it alone is kept.
     """
     family = set(family)
-    if 0 in family:
-        return (0,)
     if len(family) < 2:
         return tuple(family)
     out = []

@@ -85,6 +85,7 @@ def test_record_equality_hash_repr_and_immutability(name):
     assert x != z and not x == z
     assert hash(x) == hash(y) == hash(tuple(getattr(x, f) for f in fields))
     assert repr(x) == text
+    assert x._replace() == x and hash(x._replace()) == hash(x)
     with pytest.raises(AttributeError):
         setattr(x, fields[0], None)
     with pytest.raises(AttributeError):
@@ -125,11 +126,42 @@ def test_record_normalisation():
         (lambda: Cnf(-1, []), "variable count must be nonnegative"),
         (lambda: Cnf(2, [[3]]), "literal 3 out of range for n=2"),
         (lambda: Cnf(2, [[1], [0]]), "literal 0 out of range for n=2"),
+        # _make and _replace validate as the constructor does
+        pytest.param(
+            lambda: DualityInstance(CHAIN2, [{"p1"}], [set()])._replace(a=[{"p2"}]),
+            r"A-member \['p2'\] is not a downset",
+            id="replace-a-non-downset",
+        ),
+        pytest.param(
+            lambda: DualityInstance._make([CHAIN2, [{"p2"}], []]),
+            r"A-member \['p2'\] is not a downset",
+            id="make-a-non-downset",
+        ),
+        pytest.param(
+            lambda: TrainingContext(_context("g1", "m1"), _context("h1", "m1"))._replace(
+                negative=_context("g1", "m1")
+            ),
+            r"object names shared between sides: \['g1'\]",
+            id="replace-a-shared-object",
+        ),
+        pytest.param(
+            lambda: Cnf(1, [[1]])._replace(clauses=[[5]]),
+            "literal 5 out of range for n=1",
+            id="replace-an-out-of-range-literal",
+        ),
     ],
 )
 def test_record_validation_errors(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_replace_normalises_as_the_constructor_does():
+    inst = DualityInstance(CHAIN2, [{"p1"}], [set()])
+    replaced = inst._replace(a=[{"p1"}])
+    assert replaced == inst and hash(replaced) == hash(inst)
+    assert Implication({"a"}, [])._replace(premise=["a", "a"]).premise == frozenset({"a"})
+    assert Cnf(1, [[1]])._replace(clauses=[[-1]]).clauses == ((-1,),)
 
 
 def test_record_constructors_take_every_field():

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lattice_dual import (
@@ -144,6 +144,58 @@ def test_sat_to_amh_checks_the_empty_set_once(monkeypatch):
     monkeypatch.setattr(reductions, "is_hypothesis", recording)
     _, known = sat_to_amh(Cnf(2, [[1, 2], [-1], [2, -2]]))
     assert tested == [frozenset()] + known
+
+
+def reference_sat_to_amh(cnf: Cnf):
+    """The construction as sets of names, without the self-check: literal
+    objects mark the clauses without their literal and every other literal,
+    clause objects their own clause, and variable objects every literal
+    outside their pair."""
+    def lit_name(lit):
+        return f"x{lit}" if lit > 0 else f"!x{-lit}"
+
+    n, k = cnf.num_vars, len(cnf.clauses)
+    clause_attrs = [f"C{j}" for j in range(1, k + 1)]
+    lit_attrs = literal_attributes(n)
+    clause_sets = [frozenset(map(lit_name, clause)) for clause in cnf.clauses]
+    pos_intents = []
+    for name in lit_attrs:
+        marks = {f"C{j + 1}" for j, cs in enumerate(clause_sets) if name not in cs}
+        pos_intents.append(marks | (set(lit_attrs) - {name}))
+    pos_intents += [{c} for c in clause_attrs]
+    neg_intents = [set(lit_attrs) - {f"x{i}", f"!x{i}"} for i in range(1, n + 1)]
+    training = TrainingContext(
+        FormalContext.from_intents(
+            [f"g_{name}" for name in lit_attrs] + [f"g_{c}" for c in clause_attrs],
+            clause_attrs + lit_attrs,
+            pos_intents,
+        ),
+        FormalContext.from_intents(
+            [f"g_l{i}" for i in range(1, n + 1)], clause_attrs + lit_attrs, neg_intents
+        ),
+    )
+    return training, [frozenset({c}) for c in clause_attrs]
+
+
+@st.composite
+def cnfs(draw):
+    n = draw(st.integers(1, 4))
+    literal = st.integers(-n, n).filter(bool)
+    return Cnf(n, draw(st.lists(st.lists(literal, min_size=1, max_size=4), min_size=1, max_size=5)))
+
+
+@given(cnfs())
+@example(Cnf(2, [[2, -2]]))  # a tautological clause
+@example(Cnf(1, [[1, 1], [-1]]))  # a repeated literal
+@example(Cnf(4, [[1, -3], [3]]))  # variables 2 and 4 appear in no clause
+def test_sat_to_amh_matches_the_name_set_reference(cnf):
+    got, got_known = sat_to_amh(cnf)
+    want, want_known = reference_sat_to_amh(cnf)
+    assert got.attributes == want.attributes
+    for side, other in ((got.positive, want.positive), (got.negative, want.negative)):
+        assert side.objects == other.objects
+        assert [side.row(g) for g in side.objects] == [other.row(g) for g in other.objects]
+    assert got_known == want_known
 
 
 def test_sat_to_amh_rejects_degenerate():

@@ -77,8 +77,11 @@ def test_decode_drops_bits_beyond_the_universe():
 @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.integers(0, (1 << n + 9) - 1), max_size=12)
 )))
-# either side of where `Codec.sets` stops using byte tables: 32 | 33 names,
+# either side of where `Codec.sets` stops using byte tables: 24 | 25 names,
 # and full, partial and absent last bytes
+@example((24, [2**24 - 1, 2**20 - 1, 2**16 - 1, 2**33 - 1, 0]))
+@example((25, [2**25 - 1, 2**24, 2**24 - 1, 2**33 - 1, 0]))
+# and either side of four whole bytes: 32 | 33 names
 @example((32, [2**32 - 1, 2**40 - 1, 0]))
 @example((33, [2**33 - 1, 2**40 - 1, 0]))
 @example((8, [255, 256, 2**16 - 1]))
