@@ -4,10 +4,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import compress
 
-from .util import Codec, check_guard, closed_masks, flag_mask, name_key, pack, transpose
+from .util import (
+    Codec, _selector, bits, check_guard, closed_masks, flag_mask, lectic_key, name_key, pack,
+    transpose,
+)
 
 CONCEPTS_GUARD = 25
+# Widest context whose intents are listed by closing a bitmap of every
+# attribute subset; wider ones go through Close-by-One.
+BITMAP_ATTRIBUTES = 14
 _DIMENSIONS = "incidence dimensions do not match object/attribute counts"
 
 
@@ -114,6 +121,13 @@ class FormalContext:
 
     # -- concept enumeration ------------------------------------------
 
+    def _width(self) -> int:
+        """The attribute count, checked against the enumeration guard: every
+        enumeration over the context starts here."""
+        n = len(self._cols)
+        check_guard(n, CONCEPTS_GUARD, "concept enumeration")
+        return n
+
     def _extent_step(self):
         """Close-by-One's step and start for this context, carrying each
         intent's extent: a child's extent is its parent's AND one column,
@@ -124,10 +138,9 @@ class FormalContext:
         the enumeration: the same extent turns up again as a child of later
         closed sets, and then reuses it instead of ANDing rows.  Canonical
         children are not kept, since their extents seldom repeat; so the
-        memo holds at most one intent per concept.  Every enumeration over a
-        context starts here, so the guard is checked here."""
-        check_guard(len(self.attributes), CONCEPTS_GUARD, "concept enumeration")
-        rows, cols, n = self._rows, self._cols, len(self._cols)
+        memo holds at most one intent per concept.  It serves the pruned
+        minimal-hypothesis search and the intents of wide contexts."""
+        rows, cols, n = self._rows, self._cols, self._width()
         full = (1 << n) - 1
         failed = {}
 
@@ -153,26 +166,21 @@ class FormalContext:
         return children, (_meet(rows, n, everything), everything)
 
     def intent_masks(self) -> list:
-        """All closed attribute masks, in lectic order."""
-        return list(closed_masks(*self._extent_step()))
+        """All closed attribute masks, in lectic order: up to
+        BITMAP_ATTRIBUTES attributes by closing the subset bitmap under each
+        row, above that by Close-by-One."""
+        if len(self._cols) > BITMAP_ATTRIBUTES:
+            return list(closed_masks(*self._extent_step()))
+        return sorted(_row_closure(set(self._rows), self._width()), key=lectic_key)
 
     def intents(self) -> list:
         return self._acodec.sets(self.intent_masks())
 
     def concepts(self) -> list:
-        """All formal concepts (guarded enumeration oracle).
-
-        With no prune, the engine calls the step once for each closed set,
-        right after yielding it, with the extent it carries; the step is
-        wrapped to keep those extents, in the order of the intents."""
-        children, start = self._extent_step()
-        extents = []
-
-        def keep_extent(b, extent, y):
-            extents.append(extent)
-            return children(b, extent, y)
-
-        intents = list(closed_masks(keep_extent, start))
+        """All formal concepts, in the lectic order of their intents (guarded
+        enumeration oracle): each extent is the objects holding its intent."""
+        intents = self.intent_masks()
+        extents = map(self._extent_amask, intents)
         return list(map(Concept, self._ocodec.sets(extents), self._acodec.sets(intents)))
 
     def __eq__(self, other):
@@ -202,6 +210,46 @@ def _meet(vectors, n: int, mask: int) -> int:
         low = mask & -mask
         out &= vectors[low.bit_length() - 1]
         mask ^= low
+    return out
+
+
+def _row_closure(rows, n: int) -> list:
+    """The full mask over n attributes and every intersection of rows, in
+    ascending order.
+
+    Bit s of the integer `closed` stands for the attribute mask s, so the
+    whole subset space is one 2^n-bit integer.  Intersecting every member
+    with a row r drops the attributes k outside r: for each such k, every
+    bit is copied 2^k places down, and of what has grown only the subsets
+    of r are kept.  A copy onto a mask lacking k is a member without k.  A
+    copy onto a mask holding k is junk, but that mask holds an attribute
+    outside r, so the filter drops it.  One row costs three 2^n-bit
+    operations per attribute it lacks, whatever the number of members.
+    """
+    lacking, everything = _lacking(n), (1 << (1 << n)) - 1
+    full = (1 << n) - 1
+    closed = 1 << full
+    for r in rows:
+        grown, inside = closed, everything
+        for k in bits(full & ~r):
+            grown |= grown >> (1 << k)
+            inside &= lacking[k]
+        closed |= grown & inside
+    return list(compress(range(1 << n), _selector(closed)))
+
+
+def _lacking(n: int) -> list:
+    """Over the 2^n masks of n attributes, the bitmap of the masks lacking
+    attribute k, for each k < n: its lowest block of 2^k ones, repeated by
+    doubling."""
+    size = 1 << n
+    out = []
+    for k in range(n):
+        bitmap, period = (1 << (1 << k)) - 1, 2 << k
+        while period < size:
+            bitmap |= bitmap << period
+            period <<= 1
+        out.append(bitmap)
     return out
 
 

@@ -21,8 +21,8 @@ from lattice_dual import (
 )
 
 from lattice_dual import context
-from lattice_dual.context import _row_mask
-from lattice_dual.util import closed_masks
+from lattice_dual.context import BITMAP_ATTRIBUTES, _row_mask
+from lattice_dual.util import closed_masks, lectic_key
 
 from conftest import random_context, random_poset
 
@@ -161,6 +161,12 @@ def test_concepts_guard():
         big.concepts()
 
 
+def lectic_flags(mask: int, n: int) -> list:
+    """The flags of a mask's n attributes, first attribute first: as lists,
+    they compare in lectic order."""
+    return [mask >> j & 1 for j in range(n)]
+
+
 def brute_intents(ctx):
     """Closures of every attribute subset, in lectic order: of two sets, the
     one holding the first attribute where they differ comes later."""
@@ -176,13 +182,52 @@ def brute_intents(ctx):
         closed.add(intent)
     return [
         frozenset(m for j, m in enumerate(attrs) if mask >> j & 1)
-        for mask in sorted(closed, key=lambda mask: [mask >> j & 1 for j in range(len(attrs))])
+        for mask in sorted(closed, key=lambda mask: lectic_flags(mask, len(attrs)))
     ]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**20 - 1), max_size=30))
+def test_lectic_key_sorts_like_the_attribute_flags(masks):
+    # masks of one to three bytes, so byte strings of different lengths meet
+    assert sorted(masks, key=lectic_key) == sorted(masks, key=lambda m: lectic_flags(m, 20))
+
+
+def close_by_one_intents(ctx) -> list:
+    return list(closed_masks(*ctx._extent_step()))
+
+
+def test_intent_masks_agree_with_close_by_one_on_both_sides_of_the_bitmap_width():
+    # no objects, repeated rows, empty and full rows, at every width from 0
+    # to one past the widest bitmap
+    rng = random.Random(61)
+    for n in range(BITMAP_ATTRIBUTES + 2):
+        full = (1 << n) - 1
+        shapes = [[], [0, 0], [full], [full, 0]]
+        for _ in range(3):
+            sparse = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(1, 9))]
+            dense = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(rng.randint(1, 9))]
+            shapes += [sparse, dense, sparse + dense[:2] + sparse[:2] + [0, full]]
+        for rows in shapes:
+            ctx = FormalContext._from_rows(
+                [f"g{i}" for i in range(len(rows))], [f"m{j}" for j in range(n)], rows
+            )
+            assert ctx.intent_masks() == close_by_one_intents(ctx)
+
+
+def test_bitmap_intents_are_guarded(monkeypatch):
+    ctx = contranominal_scale(4)
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "3")
+    for enumerate_ in (ctx.intent_masks, ctx.intents, ctx.concepts):
+        with pytest.raises(GuardExceeded, match="concept enumeration: size 4 exceeds guard 3"):
+            enumerate_()
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "4")
+    assert len(ctx.intent_masks()) == 16
+
+
 def test_lectic_enumeration_agrees_with_powerset():
-    # the same list, in lectic order, as closing every subset, on both
-    # sides of 16 attributes
+    # the same list, in lectic order, as closing every subset, on 5
+    # attributes (the bitmap) and on 15 to 17 (Close-by-One)
     rng = random.Random(23)
     contexts = [random_context(rng, 5, 5) for _ in range(5)]
     for n_att in (15, 16, 17):
@@ -257,9 +302,8 @@ def test_closed_masks_carries_each_intents_extent(shape):
 @settings(max_examples=100, deadline=None)
 @given(small_contexts())
 def test_concepts_take_each_extent_from_the_enumeration(shape):
-    # concepts() keeps the extent the engine carries with each intent: the
-    # intents are those of intents(), in the same order, and each extent is
-    # the derivation of its intent
+    # concepts() pairs each intent of intents(), in the same order, with its
+    # derivation as the extent
     _n, ctx = shape
     concepts = ctx.concepts()
     assert [c.intent for c in concepts] == ctx.intents()
@@ -293,7 +337,8 @@ def test_closed_masks_prune_cuts_only_below(shape, cut):
 
 def row_passes(ctx) -> Counter:
     """How often each extent has its intent computed (a pass over the rows
-    of the extent) while `intent_masks()` runs."""
+    of the extent) while Close-by-One lists the intents, as it does for the
+    pruned hypothesis search and for contexts wider than the bitmap."""
     passes = Counter()
     meet = context._meet
 
@@ -303,8 +348,9 @@ def row_passes(ctx) -> Counter:
         return meet(vectors, n, mask)
 
     with mock.patch.object(context, "_meet", recording):
-        got = ctx.intent_masks()
+        got = close_by_one_intents(ctx)
     assert got == [ctx._close_amask(b) for b in got]
+    assert got == ctx.intent_masks()
     return passes
 
 
