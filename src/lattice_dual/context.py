@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from functools import cache
 from itertools import compress
 
 from .util import (
-    Codec, _selector, bits, check_guard, closed_masks, flag_mask, lectic_key, name_key, pack,
-    transpose,
+    Codec, _selector, bits, check_guard, closed_masks, flag_mask, name_key, pack, transpose,
 )
 
 CONCEPTS_GUARD = 25
@@ -167,11 +167,15 @@ class FormalContext:
 
     def intent_masks(self) -> list:
         """All closed attribute masks, in lectic order: up to
-        BITMAP_ATTRIBUTES attributes by closing the subset bitmap under each
-        row, above that by Close-by-One."""
+        BITMAP_ATTRIBUTES attributes by closing the subset bitmap of the
+        bit-reversed rows, whose positions run in lectic order; above that
+        by Close-by-One."""
         if len(self._cols) > BITMAP_ATTRIBUTES:
             return list(closed_masks(*self._extent_step()))
-        return sorted(_row_closure(set(self._rows), self._width()), key=lectic_key)
+        n = self._width()
+        lectic = _lectic(n)
+        closed = _row_closure({lectic[r] for r in self._rows}, n)
+        return list(compress(lectic, _selector(closed)))
 
     def intents(self) -> list:
         return self._acodec.sets(self.intent_masks())
@@ -213,18 +217,17 @@ def _meet(vectors, n: int, mask: int) -> int:
     return out
 
 
-def _row_closure(rows, n: int) -> list:
-    """The full mask over n attributes and every intersection of rows, in
-    ascending order.
+def _row_closure(rows, n: int) -> int:
+    """The full mask over n attributes and every intersection of rows, as
+    one 2^n-bit integer: bit s stands for the attribute mask s.
 
-    Bit s of the integer `closed` stands for the attribute mask s, so the
-    whole subset space is one 2^n-bit integer.  Intersecting every member
-    with a row r drops the attributes k outside r: for each such k, every
-    bit is copied 2^k places down, and of what has grown only the subsets
-    of r are kept.  A copy onto a mask lacking k is a member without k.  A
-    copy onto a mask holding k is junk, but that mask holds an attribute
-    outside r, so the filter drops it.  One row costs three 2^n-bit
-    operations per attribute it lacks, whatever the number of members.
+    Intersecting every member with a row r drops the attributes k outside
+    r: for each such k, every bit is copied 2^k places down, and of what
+    has grown only the subsets of r are kept.  A copy onto a mask lacking k
+    is a member without k.  A copy onto a mask holding k is junk, but that
+    mask holds an attribute outside r, so the filter drops it.  One row
+    costs three 2^n-bit operations per attribute it lacks, whatever the
+    number of members.
     """
     lacking, everything = _lacking(n), (1 << (1 << n)) - 1
     full = (1 << n) - 1
@@ -235,22 +238,26 @@ def _row_closure(rows, n: int) -> list:
             grown |= grown >> (1 << k)
             inside &= lacking[k]
         closed |= grown & inside
-    return list(compress(range(1 << n), _selector(closed)))
+    return closed
 
 
-def _lacking(n: int) -> list:
+@cache
+def _lacking(n: int) -> tuple:
     """Over the 2^n masks of n attributes, the bitmap of the masks lacking
-    attribute k, for each k < n: its lowest block of 2^k ones, repeated by
-    doubling."""
-    size = 1 << n
-    out = []
-    for k in range(n):
-        bitmap, period = (1 << (1 << k)) - 1, 2 << k
-        while period < size:
-            bitmap |= bitmap << period
-            period <<= 1
-        out.append(bitmap)
-    return out
+    attribute k, for each k < n: 2^k ones in every 2^(k+1) bits."""
+    everything = (1 << (1 << n)) - 1
+    return tuple(everything // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1) for k in range(n))
+
+
+@cache
+def _lectic(n: int) -> tuple:
+    """The 2^n masks of n attributes in lectic order: entry i is i with its
+    n low bits reversed, so the lowest bit where two masks differ becomes
+    the highest.  Reversal undoes itself, so entry m is m reversed."""
+    table = [0]
+    for k in reversed(range(n)):
+        table += [m | 1 << k for m in table]
+    return tuple(table)
 
 
 def contranominal_scale(n: int) -> FormalContext:

@@ -8,11 +8,12 @@ by `flag_mask`, and a JSON list of names is checked by `is_name_list`.
 Names are listed in one order, `name_key`, and families of masks in one
 order, `family_key`; families are minimised, maximised, checked for being
 antichains and tested for property (*) by the helpers below.  Closed sets
-come in the lectic order of `lectic_key`.  Close-by-One, `closed_masks`,
-lists downsets, minimal hypotheses, sets closed under implications and the
+come in lectic order: of two sets, the one holding the first attribute
+where they differ comes later.  Close-by-One, `closed_masks`, lists
+downsets, minimal hypotheses, sets closed under implications and the
 intents of contexts wider than `context.BITMAP_ATTRIBUTES` in that order;
 the intents of narrower contexts are read off one bitmap of every
-attribute subset and sorted by `lectic_key`."""
+attribute subset, indexed so that its positions run in lectic order."""
 
 import os
 from bisect import bisect_left, bisect_right
@@ -114,24 +115,6 @@ def family_key(mask: int) -> tuple:
     an index list costs a Python step per set bit.
     """
     return mask.bit_count(), mask.to_bytes((mask.bit_length() + 7) // 8, "little").translate(_REVC)
-
-
-# _REV[v] is v with its 8 bits reversed: 255 minus _REVC[v].
-_REV = _REVC.translate(bytes(range(255, -1, -1)))
-
-
-def lectic_key(mask: int) -> bytes:
-    """The lectic order of masks: of two, the one holding the lowest bit
-    where they differ comes later.
-
-    The mask's bytes, lowest first, each with its bits reversed, compare the
-    same way: in the first differing byte, the lowest differing bit becomes
-    the highest differing one, so the mask holding it has the greater
-    reversed byte.  A byte string that is a proper prefix of another sorts
-    first, and there the longer mask holds the lowest differing bit, since
-    its last byte is not zero.
-    """
-    return mask.to_bytes((mask.bit_length() + 7) // 8, "little").translate(_REV)
 
 
 def is_name_list(doc, types) -> bool:

@@ -246,6 +246,31 @@ def random_context(rng: random.Random, max_objects: int, max_attrs: int,
     return FormalContext.from_intents(objects, attrs, intents)
 
 
+def lectic_flags(mask: int, n: int) -> list:
+    """The flags of a mask's n attributes, first attribute first: as lists,
+    they compare in lectic order."""
+    return [mask >> j & 1 for j in range(n)]
+
+
+def brute_intents(ctx):
+    """Closures of every attribute subset, in lectic order: of two sets, the
+    one holding the first attribute where they differ comes later."""
+    attrs = ctx.attributes
+    rows = [sum(1 << j for j, m in enumerate(attrs) if m in ctx.row(g)) for g in ctx.objects]
+    full = (1 << len(attrs)) - 1
+    closed = set()
+    for sub in range(1 << len(attrs)):
+        intent = full
+        for r in rows:
+            if r & sub == sub:
+                intent &= r
+        closed.add(intent)
+    return [
+        frozenset(m for j, m in enumerate(attrs) if mask >> j & 1)
+        for mask in sorted(closed, key=lambda mask: lectic_flags(mask, len(attrs)))
+    ]
+
+
 def random_training(rng: random.Random, max_side: int = 5, max_attrs: int = 6) -> TrainingContext:
     pos = random_context(rng, max_side, max_attrs, prefix="p")
     attrs = list(pos.attributes)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from lattice_dual import (
     DualityInstance,
+    FormalContext,
     GuardExceeded,
     Poset,
     brute_force_dual,
@@ -30,8 +32,9 @@ from lattice_dual import (
     write_cxt,
 )
 from lattice_dual.cli import main
+from lattice_dual.context import BITMAP_ATTRIBUTES
 
-from conftest import ATTRS6, EIGHT_MINIMAL, make_worked_training
+from conftest import ATTRS6, EIGHT_MINIMAL, brute_intents, make_worked_training
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +69,30 @@ def test_ctx_concepts_contranominal3(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "ctx", "concepts", "--context", str(path))
     assert code == 0
     assert len(json.loads(out)) == 8
+
+
+@pytest.mark.parametrize("n", [BITMAP_ATTRIBUTES, BITMAP_ATTRIBUTES + 1])
+def test_ctx_concepts_print_in_lectic_order(capsys, tmp_path, n):
+    # on the widest bitmap context and on the narrowest Close-by-One one,
+    # stdout lists the concepts item by item in the lectic order of their
+    # intents, each extent and intent in universe order
+    rng = random.Random(n)
+    objects, attrs = [f"g{i}" for i in range(9)], [f"m{j}" for j in range(n)]
+    rows = [[rng.random() < 0.7 for _ in attrs] for _ in objects]
+    ctx = FormalContext(objects, attrs, rows)
+    path = tmp_path / "ctx.cxt"
+    path.write_text(write_cxt(ctx))
+    code, out, _ = run_cli(capsys, "ctx", "concepts", "--context", str(path))
+    assert code == 0
+    expected = [
+        {
+            "extent": [g for g in objects if g in ctx.derive_attributes(intent)],
+            "intent": [m for m in attrs if m in intent],
+        }
+        for intent in brute_intents(ctx)
+    ]
+    assert len(expected) > 50
+    assert json.loads(out) == expected
 
 
 def test_ctx_reduce_emits_cxt(capsys, tmp_path):

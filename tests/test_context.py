@@ -22,9 +22,9 @@ from lattice_dual import (
 
 from lattice_dual import context
 from lattice_dual.context import BITMAP_ATTRIBUTES, _row_mask
-from lattice_dual.util import closed_masks, lectic_key
+from lattice_dual.util import closed_masks
 
-from conftest import random_context, random_poset
+from conftest import brute_intents, lectic_flags, random_context, random_poset
 
 
 def ctx_equal(a: FormalContext, b: FormalContext) -> bool:
@@ -161,36 +161,17 @@ def test_concepts_guard():
         big.concepts()
 
 
-def lectic_flags(mask: int, n: int) -> list:
-    """The flags of a mask's n attributes, first attribute first: as lists,
-    they compare in lectic order."""
-    return [mask >> j & 1 for j in range(n)]
-
-
-def brute_intents(ctx):
-    """Closures of every attribute subset, in lectic order: of two sets, the
-    one holding the first attribute where they differ comes later."""
-    attrs = ctx.attributes
-    rows = [sum(1 << j for j, m in enumerate(attrs) if m in ctx.row(g)) for g in ctx.objects]
-    full = (1 << len(attrs)) - 1
-    closed = set()
-    for sub in range(1 << len(attrs)):
-        intent = full
-        for r in rows:
-            if r & sub == sub:
-                intent &= r
-        closed.add(intent)
-    return [
-        frozenset(m for j, m in enumerate(attrs) if mask >> j & 1)
-        for mask in sorted(closed, key=lambda mask: lectic_flags(mask, len(attrs)))
-    ]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 2**20 - 1), max_size=30))
-def test_lectic_key_sorts_like_the_attribute_flags(masks):
-    # masks of one to three bytes, so byte strings of different lengths meet
-    assert sorted(masks, key=lectic_key) == sorted(masks, key=lambda m: lectic_flags(m, 20))
+def test_the_per_width_tables_of_the_bitmap():
+    # at every bitmap width: the table lists the masks in lectic order, and
+    # bit s of the k-th lacking map is set exactly when s lacks k
+    for n in range(BITMAP_ATTRIBUTES + 1):
+        masks = range(1 << n)
+        assert context._lectic(n) == tuple(sorted(masks, key=lambda m: lectic_flags(m, n)))
+        lacking = context._lacking(n)
+        assert len(lacking) == n
+        for k, bitmap in enumerate(lacking):
+            flags = "".join("0" if s >> k & 1 else "1" for s in reversed(masks))
+            assert bitmap == int(flags, 2)
 
 
 def close_by_one_intents(ctx) -> list:
