@@ -172,10 +172,15 @@ class FormalContext:
         by Close-by-One."""
         if len(self._cols) > BITMAP_ATTRIBUTES:
             return list(closed_masks(*self._extent_step()))
+        lectic, closed = self._lectic_map()
+        return list(compress(lectic, _selector(closed)))
+
+    def _lectic_map(self) -> tuple:
+        """The lectic table of this width (guarded) and the intent bitmap
+        over it: bit i stands for the mask lectic[i]."""
         n = self._width()
         lectic = _lectic(n)
-        closed = _row_closure({lectic[r] for r in self._rows}, n)
-        return list(compress(lectic, _selector(closed)))
+        return lectic, _row_closure({lectic[r] for r in self._rows}, n)
 
     def intents(self) -> list:
         return self._acodec.sets(self.intent_masks())
@@ -244,9 +249,38 @@ def _row_closure(rows, n: int) -> int:
 @cache
 def _lacking(n: int) -> tuple:
     """Over the 2^n masks of n attributes, the bitmap of the masks lacking
-    attribute k, for each k < n: 2^k ones in every 2^(k+1) bits."""
-    everything = (1 << (1 << n)) - 1
-    return tuple(everything // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1) for k in range(n))
+    attribute k, for each k < n: 2^k ones in every 2^(k+1) bits.  Each map
+    of n - 1 attributes is copied into the upper half, and the masks lacking
+    the new attribute fill the lower half."""
+    if not n:
+        return ()
+    half = 1 << (n - 1)
+    return (*(m | m << half for m in _lacking(n - 1)), (1 << half) - 1)
+
+
+def _interval(low: int, high: int, n: int) -> int:
+    """The bitmap of the masks s over n attributes with low <= s <= high as
+    sets: the masks holding every attribute of low and none outside high."""
+    lacking = _lacking(n)
+    out = (1 << (1 << n)) - 1
+    for k in bits(low):
+        out &= ~lacking[k]
+    for k in bits(((1 << n) - 1) & ~high):
+        out &= lacking[k]
+    return out
+
+
+def _strictly_above(family: int, n: int) -> int:
+    """The bitmap of the masks over n attributes that strictly contain a
+    member of the family bitmap: every member with one attribute added,
+    then closed upward, attribute by attribute."""
+    lacking = _lacking(n)
+    above = 0
+    for k in range(n):
+        above |= (family & lacking[k]) << (1 << k)
+    for k in range(n):
+        above |= (above & lacking[k]) << (1 << k)
+    return above
 
 
 @cache

@@ -6,7 +6,9 @@ from bisect import insort
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .context import FormalContext, _row_mask, _row_text
+from .context import (
+    BITMAP_ATTRIBUTES, FormalContext, _interval, _row_mask, _row_text, _strictly_above,
+)
 from .util import _star, closed_masks, is_name_list, name_key
 
 
@@ -68,7 +70,8 @@ def minimal_hypotheses(t: TrainingContext, k: int = 0, method: str = "oracle") -
     """Subset-minimal k-weak hypotheses, in the family order; {M} when no
     hypothesis exists (guarded like concept enumeration).
 
-    Both methods, "oracle" and "iterate", run the one pruned search.
+    Both methods, "oracle" and "iterate", take the one list of
+    `_minimal_hypothesis_masks`.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -79,16 +82,42 @@ def minimal_hypotheses(t: TrainingContext, k: int = 0, method: str = "oracle") -
 
 def _minimal_hypothesis_masks(t: TrainingContext, k: int):
     """Subset-minimal k-weak hypotheses as masks, in lectic order; M alone
-    when there is none (the {M} convention; M is lectically last).
+    when there is none (the {M} convention; M is lectically last).  For
+    k = 0 up to BITMAP_ATTRIBUTES attributes they are read off the subset
+    bitmap, otherwise found by the pruned search; both give one list."""
+    if k == 0 and len(t.attributes) <= BITMAP_ATTRIBUTES:
+        return _bitmap_minimal_masks(t)
+    return _pruned_minimal_masks(t, k)
 
-    Close-by-One over the positive intents, pruned below every hypothesis:
-    the closed sets on the way to a minimal hypothesis are closed proper
-    subsets of it, so none is a hypothesis and none is pruned.  Lectic
-    order extends inclusion, so a pruned hit is minimal exactly when no
-    earlier minimal hit lies below it; the minimal hits are kept in
-    ascending order, as `_star` needs.  Each closed set is tested once: the
-    engine asks prune(b) only after b is received here, so the prune
-    predicate pops the verdict stored for b.
+
+def _bitmap_minimal_masks(t: TrainingContext):
+    """The minimal hypotheses (k = 0) off the positive intent bitmap, whose
+    positions run in lectic order: the intents inside no negative row are
+    the hypotheses, and those strictly above another are dropped.  The set
+    bits left are few, so they are walked one low bit at a time."""
+    lectic, hyps = t.positive._lectic_map()
+    n = len(t.attributes)
+    for r in set(t.negative._rows):
+        hyps &= ~_interval(0, lectic[r], n)
+    if not hyps:
+        yield (1 << n) - 1
+        return
+    minimal = hyps & ~_strictly_above(hyps, n)
+    while minimal:
+        low = minimal & -minimal
+        yield lectic[low.bit_length() - 1]
+        minimal ^= low
+
+
+def _pruned_minimal_masks(t: TrainingContext, k: int):
+    """The minimal k-weak hypotheses by Close-by-One over the positive
+    intents, pruned below every hypothesis: the closed sets on the way to a
+    minimal hypothesis are closed proper subsets of it, so none is a
+    hypothesis and none is pruned.  Lectic order extends inclusion, so a
+    pruned hit is minimal exactly when no earlier minimal hit lies below
+    it; the minimal hits are kept in ascending order, as `_star` needs.
+    Each closed set is tested once: the engine asks prune(b) only after b
+    is received here, so the prune predicate pops the verdict stored for b.
     """
     verdict = {}
     kept = []
@@ -130,8 +159,9 @@ def _first_new(t: TrainingContext, known) -> int | None:
 def decide_amh(t: TrainingContext, known: Iterable[frozenset]) -> bool:
     """Is there a minimal hypothesis outside the given set?
 
-    Backed by a pruned closed-set search (the problem is NP-complete in
-    general); every member of `known` must itself be a minimal hypothesis.
+    Backed by the subset bitmap up to BITMAP_ATTRIBUTES attributes and by a
+    pruned closed-set search above (the problem is NP-complete in general);
+    every member of `known` must itself be a minimal hypothesis.
     The {M} convention applies: a context with no hypotheses has minimal
     set {M}.
     """

@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .context import FormalContext
+from .context import FormalContext, _interval, _row_closure
 from .poset import Poset
 from .util import (
     Codec, _star, check_guard, closed_masks, is_mask_antichain, is_name_list, name_key
@@ -54,8 +54,11 @@ def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
     """Base recognition (guarded): the implications' closure system equals
     the context's.  That holds exactly when every implication holds in the
     context (so every intent is closed under them) and every set closed
-    under them, enumerated by Close-by-One with early exit, is an intent."""
-    check_guard(len(ctx.attributes), IS_BASE_GUARD, "implication base recognition")
+    under them is an intent.  Up to IS_BASE_GUARD attributes the second
+    test is made on subset bitmaps; above it, which only a raised guard
+    allows, by Close-by-One with early exit."""
+    n = len(ctx.attributes)
+    check_guard(n, IS_BASE_GUARD, "implication base recognition")
     codec = ctx._acodec
     rules = []
     for imp in imps:
@@ -65,7 +68,35 @@ def is_base(ctx: FormalContext, imps: Iterable[Implication]) -> bool:
             rules.append((codec.encode(imp.premise), codec.encode(imp.conclusion)))
     if any(ctx._close_amask(p) & c != c for p, c in rules):
         return False
+    if n > IS_BASE_GUARD:
+        return _closed_sets_are_intents(ctx, rules)
+    return _models_are_intents(ctx, rules)
 
+
+def _models_are_intents(ctx: FormalContext, rules) -> bool:
+    """Every set closed under the rules, (premise, conclusion) mask pairs,
+    is an intent.  The closures of the empty set and of each attribute are
+    tried first, from the last attribute down as the lectic sweep of
+    Close-by-One meets them, so that most "no" answers come before any
+    bitmap.  Then the sets closed under the rules, the models, are one
+    bitmap in natural order: over each rule (P, C), the masks not holding
+    P or holding C.  None may lie outside the intent bitmap."""
+    n = len(ctx.attributes)
+    for x in (0, *(1 << j for j in reversed(range(n)))):
+        x = _chain(rules, x)
+        if ctx._close_amask(x) != x:
+            return False
+    full = (1 << n) - 1
+    models = (1 << (1 << n)) - 1
+    for p, c in rules:
+        models &= ~_interval(p, full, n) | _interval(c, full, n)
+    return not models & ~_row_closure(set(ctx._rows), n)
+
+
+def _closed_sets_are_intents(ctx: FormalContext, rules) -> bool:
+    """Every set closed under the rules is an intent: the sets are listed by
+    Close-by-One, each child closed by forward chaining, and the check stops
+    at the first that is not an intent."""
     full = (1 << len(ctx.attributes)) - 1
 
     def children(x, _, y):

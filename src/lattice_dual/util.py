@@ -10,10 +10,13 @@ order, `family_key`; families are minimised, maximised, checked for being
 antichains and tested for property (*) by the helpers below.  Closed sets
 come in lectic order: of two sets, the one holding the first attribute
 where they differ comes later.  Close-by-One, `closed_masks`, lists
-downsets, minimal hypotheses, sets closed under implications and the
-intents of contexts wider than `context.BITMAP_ATTRIBUTES` in that order;
-the intents of narrower contexts are read off one bitmap of every
-attribute subset, indexed so that its positions run in lectic order."""
+downsets, and in that order the intents and the minimal hypotheses of
+contexts wider than `context.BITMAP_ATTRIBUTES` (of any context for
+k > 0), and the sets closed under implications over more than
+`implications.IS_BASE_GUARD` attributes.  The intents of narrower contexts
+and their minimal hypotheses are read off one bitmap of every attribute
+subset, indexed so that its positions run in lectic order; base
+recognition up to that guard compares two such bitmaps."""
 
 import os
 from bisect import bisect_left, bisect_right

@@ -24,8 +24,12 @@ from lattice_dual import (
     training_to_json,
 )
 
-from lattice_dual.hypotheses import _minimal_hypothesis_masks
-from lattice_dual.util import family_key
+from lattice_dual.cli import main
+from lattice_dual.context import BITMAP_ATTRIBUTES, _lacking, _lectic
+from lattice_dual.hypotheses import (
+    _bitmap_minimal_masks, _minimal_hypothesis_masks, _pruned_minimal_masks,
+)
+from lattice_dual.util import GuardExceeded, family_key, flag_mask
 
 from conftest import (
     ATTRS6,
@@ -333,6 +337,74 @@ def test_dual_is_complements_of_minimal_hypotheses(rng):
         assert dual == set() and minimal == [elements]
     else:
         assert dual == {elements - h for h in minimal}
+
+
+# -- the subset bitmap against the pruned search ------------------------------------
+
+
+def mask_training(n: int, pos_rows, neg_rows) -> TrainingContext:
+    attrs = [f"m{j}" for j in range(n)]
+    pos = FormalContext._from_rows([f"p{i}" for i in range(len(pos_rows))], attrs, pos_rows)
+    neg = FormalContext._from_rows([f"n{i}" for i in range(len(neg_rows))], attrs, neg_rows)
+    return TrainingContext(pos, neg)
+
+
+def narrow_trainings():
+    """Random trainings of 0-14 attributes, up to 15 rows a side at density
+    0.2, 0.5 or 0.8; then, at several widths, ones with no positive object,
+    with no negative object and with a full negative row."""
+    rng = random.Random(263)
+
+    def rows(count, n, density):
+        return [flag_mask(rng.random() < density for _ in range(n)) for _ in range(count)]
+
+    for _ in range(300):
+        n, density = rng.randint(0, BITMAP_ATTRIBUTES), rng.choice([0.2, 0.5, 0.8])
+        yield mask_training(n, rows(rng.randint(0, 15), n, density),
+                            rows(rng.randint(0, 15), n, density))
+    for n in (0, 1, 7, BITMAP_ATTRIBUTES):
+        yield mask_training(n, [], rows(5, n, 0.5))
+        yield mask_training(n, rows(5, n, 0.5), [])
+        yield mask_training(n, rows(5, n, 0.5), rows(4, n, 0.5) + [(1 << n) - 1])
+
+
+def test_bitmap_minimal_hypotheses_match_the_pruned_search():
+    for t in narrow_trainings():
+        expected = list(_pruned_minimal_masks(t, 0))
+        assert list(_bitmap_minimal_masks(t)) == expected
+        assert list(_minimal_hypothesis_masks(t, 0)) == expected
+
+
+def test_amh_answers_match_the_pruned_search():
+    rng = random.Random(269)
+    for t in narrow_trainings():
+        codec = t.positive._acodec
+        expected = list(_pruned_minimal_masks(t, 0))
+        known = [b for b in expected if rng.random() < 0.5]
+        if len(known) == len(expected) and rng.random() < 0.5:
+            known.pop(rng.randrange(len(known)))
+        missing = [b for b in expected if b not in known]
+        names = [codec.members(b) for b in known]
+        assert decide_amh(t, names) is bool(missing)
+        if missing:
+            assert find_new_min_h(t, names) == codec.members(missing[0])
+        else:
+            with pytest.raises(ValueError, match="precondition violated"):
+                find_new_min_h(t, names)
+
+
+def test_the_bitmap_route_is_guarded_before_any_map(capsys, tmp_path, monkeypatch):
+    t = mask_training(12, [(1 << 12) - 1], [0])
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps(training_to_json(t)))
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "11")
+    tables = _lacking.cache_info(), _lectic.cache_info()
+    with pytest.raises(GuardExceeded, match="size 12 exceeds guard 11"):
+        list(_bitmap_minimal_masks(t))
+    assert (_lacking.cache_info(), _lectic.cache_info()) == tables
+    assert main(["hypo", "minimal", "--train", str(train)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "size 12 exceeds guard 11" in err
 
 
 # -- classification -----------------------------------------------------------------

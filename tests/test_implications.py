@@ -22,8 +22,15 @@ from lattice_dual import (
     is_base,
     is_valid,
     poset_from_pairs,
+    write_cxt,
 )
-from lattice_dual.implications import implications_from_json, implications_to_json
+from lattice_dual.cli import main
+from lattice_dual.context import _lacking, _lectic
+from lattice_dual.implications import (
+    _chain, _closed_sets_are_intents, _models_are_intents, implications_from_json,
+    implications_to_json,
+)
+from lattice_dual.util import flag_mask
 
 from conftest import random_context, random_poset
 
@@ -233,6 +240,127 @@ def test_is_base_agrees_with_sweep(case):
 def test_is_base_guard():
     with pytest.raises(GuardExceeded):
         is_base(contranominal_scale(19), [])
+
+
+# -- the subset bitmap against Close-by-One ------------------------------------
+
+
+def a_base(ctx) -> list:
+    """Rule masks (P, P'') forming a base: of the candidates, the empty set
+    and B | {m} for each intent B and attribute m outside it, in ascending
+    order, each one the rules kept so far fail to close to its closure.
+    The candidates' rules form a base: a set closed under them holds the
+    closure of the empty set, and no intent it holds is maximal unless it
+    is the set itself.  The kept rules imply every candidate's rule."""
+    n = len(ctx.attributes)
+    candidates = {0} | {b | 1 << m for b in ctx.intent_masks() for m in range(n) if not b >> m & 1}
+    rules = []
+    for x in sorted(candidates):
+        closure = ctx._close_amask(x)
+        if _chain(rules, x) != closure:
+            rules.append((x, closure))
+    return rules
+
+
+def base_cases():
+    """(context, rule masks): random contexts of 0-14 attributes and the
+    contraordinal contexts of random posets of 15-18 elements, each with its
+    base whole, without its first rule and without its last."""
+    rng = random.Random(271)
+    contexts = []
+    for _ in range(40):
+        n, density = rng.randint(0, 14), rng.choice([0.2, 0.5, 0.8])
+        rows = [flag_mask(rng.random() < density for _ in range(n)) for _ in range(rng.randint(0, 15))]
+        ctx = FormalContext._from_rows([f"g{i}" for i in range(len(rows))],
+                                       [f"m{j}" for j in range(n)], rows)
+        contexts.append((ctx, a_base(ctx)))
+    for density in (0.1, 0.2, 0.3) * 3:
+        p = random_poset(rng, 18, 15, density)
+        ctx = contraordinal_context(p)
+        codec = ctx._acodec
+        contexts.append((ctx, [(codec.encode(i.premise), codec.encode(i.conclusion))
+                               for i in distributive_min_base(p)]))
+    for ctx, rules in contexts:
+        yield ctx, rules
+        yield ctx, rules[1:]
+        yield ctx, rules[:-1]
+
+
+def test_the_two_routes_of_is_base_agree():
+    answers = set()
+    for ctx, rules in base_cases():
+        expected = _closed_sets_are_intents(ctx, rules)
+        assert _models_are_intents(ctx, rules) is expected
+        imps = [imp(ctx._acodec.members(p), ctx._acodec.members(c)) for p, c in rules]
+        assert is_base(ctx, imps) is expected
+        answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_is_base_short_cuts_match_close_by_one():
+    # an unknown premise never fires; a known premise with an unknown
+    # conclusion, or an invalid rule, answers no; an empty list is checked
+    rng = random.Random(277)
+    for ctx, rules in itertools.islice(base_cases(), 0, None, 3):
+        members = ctx._acodec.members
+        imps = [imp(members(p), members(c)) for p, c in rules]
+        whole = _closed_sets_are_intents(ctx, rules)
+        known = members(rng.getrandbits(len(ctx.attributes)))
+        assert is_base(ctx, imps + [imp(known | {"zz"}, [])]) is whole
+        assert is_base(ctx, [imp(known, {"zz"})] + imps) is False
+        outside = frozenset(ctx.attributes) - ctx.close_attributes(known)
+        if outside:
+            assert is_base(ctx, imps + [imp(known, outside)]) is False
+        assert is_base(ctx, []) is _closed_sets_are_intents(ctx, [])
+        assert _models_are_intents(ctx, []) is _closed_sets_are_intents(ctx, [])
+
+
+def test_the_bitmap_route_of_is_base_is_guarded_before_any_map(capsys, tmp_path, monkeypatch):
+    ctx = contranominal_scale(12)
+    path = tmp_path / "ctx.cxt"
+    path.write_text(write_cxt(ctx))
+    none = tmp_path / "none.json"
+    none.write_text("[]")
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "11")
+    tables = _lacking.cache_info(), _lectic.cache_info()
+    with pytest.raises(GuardExceeded, match="size 12 exceeds guard 11"):
+        is_base(ctx, [])
+    assert (_lacking.cache_info(), _lectic.cache_info()) == tables
+    argv = ["reduce", "dci2mibr", "--context", str(path), "--a", str(none), "--b", str(none),
+            "--base", str(none)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "size 12 exceeds guard 11" in err
+
+
+def test_a_raised_guard_lets_is_base_run_close_by_one(monkeypatch):
+    # no bitmap of 2^19 masks is built for a 19-element chain's 20 downsets
+    chain = poset_from_pairs([f"p{i}" for i in range(19)],
+                             [(f"p{i}", f"p{i + 1}") for i in range(18)])
+    ctx, base = contraordinal_context(chain), distributive_min_base(chain)
+    monkeypatch.setenv("LATTICE_DUAL_GUARD", "19")
+    tables = _lacking.cache_info()
+    assert is_base(ctx, base) is True
+    assert is_base(ctx, base[:-1]) is False
+    assert _lacking.cache_info() == tables
+
+
+def test_every_subset_of_eighteen_attributes_is_an_intent():
+    # 18 co-atoms and 982 rows at density 0.8: the empty base is a base.
+    # The random rows repeat every co-atom, so one co-atom is gone only
+    # with all its copies; then the empty base is no base.
+    rng = random.Random(1)
+    full = (1 << 18) - 1
+    rows = [full & ~(1 << j) for j in range(18)]
+    rows += [flag_mask(rng.random() < 0.8 for _ in range(18)) for _ in range(982)]
+    attrs = [f"m{j}" for j in range(18)]
+
+    def context(rows):
+        return FormalContext._from_rows([f"g{i}" for i in range(len(rows))], attrs, rows)
+
+    assert is_base(context(rows), []) is True
+    assert is_base(context(rows[1:]), []) is True
+    assert is_base(context([r for r in rows if r != rows[0]]), []) is False
 
 
 # -- contraordinal context ----------------------------------------------------
