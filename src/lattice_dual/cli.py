@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .util import GuardExceeded, family_key, is_name_list
@@ -23,8 +24,16 @@ def _read(path: str) -> str:
 
 
 def _read_json(path: str):
+    """The file's JSON document.  NaN, Infinity and numbers beyond a float
+    (1e400) are refused: json.dumps would echo them as no JSON at all."""
+
+    def finite(text: str) -> float:
+        if math.isfinite(value := float(text)):
+            return value
+        raise ValueError(f"{path}: non-finite number {text} in JSON")
+
     try:
-        return json.loads(_read(path))
+        return json.loads(_read(path), parse_constant=finite, parse_float=finite)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 

@@ -166,21 +166,16 @@ class FormalContext:
         return children, (_meet(rows, n, everything), everything)
 
     def intent_masks(self) -> list:
-        """All closed attribute masks, in lectic order: up to
-        BITMAP_ATTRIBUTES attributes by closing the subset bitmap of the
-        bit-reversed rows, whose positions run in lectic order; above that
-        by Close-by-One."""
+        """All closed attribute masks, in lectic order: above
+        BITMAP_ATTRIBUTES attributes by Close-by-One, up to it off the one
+        subset bitmap laid out by the lectic table (bit i stands for the
+        mask lectic[i]), whose ascending positions run in lectic order."""
         if len(self._cols) > BITMAP_ATTRIBUTES:
             return list(closed_masks(*self._extent_step()))
-        lectic, closed = self._lectic_map()
-        return list(compress(lectic, _selector(closed)))
-
-    def _lectic_map(self) -> tuple:
-        """The lectic table of this width (guarded) and the intent bitmap
-        over it: bit i stands for the mask lectic[i]."""
         n = self._width()
         lectic = _lectic(n)
-        return lectic, _row_closure({lectic[r] for r in self._rows}, n)
+        closed = _row_closure({lectic[r] for r in self._rows}, n)
+        return list(compress(lectic, _selector(closed)))
 
     def intents(self) -> list:
         return self._acodec.sets(self.intent_masks())
@@ -272,14 +267,12 @@ def _interval(low: int, high: int, n: int) -> int:
 
 def _strictly_above(family: int, n: int) -> int:
     """The bitmap of the masks over n attributes that strictly contain a
-    member of the family bitmap: every member with one attribute added,
-    then closed upward, attribute by attribute."""
+    member of the family bitmap, in one pass: after step k it holds every
+    member plus a nonempty set of the attributes up to k that it lacks."""
     lacking = _lacking(n)
     above = 0
     for k in range(n):
-        above |= (family & lacking[k]) << (1 << k)
-    for k in range(n):
-        above |= (above & lacking[k]) << (1 << k)
+        above |= ((family | above) & lacking[k]) << (1 << k)
     return above
 
 

@@ -7,9 +7,9 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .context import (
-    BITMAP_ATTRIBUTES, FormalContext, _interval, _row_mask, _row_text, _strictly_above,
+    BITMAP_ATTRIBUTES, FormalContext, _interval, _row_closure, _row_mask, _row_text, _strictly_above,
 )
-from .util import _star, closed_masks, is_name_list, name_key
+from .util import _star, bits, closed_masks, is_name_list, name_key
 
 
 class TrainingContext(namedtuple("TrainingContext", "positive negative")):
@@ -83,30 +83,27 @@ def minimal_hypotheses(t: TrainingContext, k: int = 0, method: str = "oracle") -
 def _minimal_hypothesis_masks(t: TrainingContext, k: int):
     """Subset-minimal k-weak hypotheses as masks, in lectic order; M alone
     when there is none (the {M} convention; M is lectically last).  For
-    k = 0 up to BITMAP_ATTRIBUTES attributes they are read off the subset
-    bitmap, otherwise found by the pruned search; both give one list."""
+    k = 0 up to BITMAP_ATTRIBUTES attributes they are sorted off the intent
+    bitmap in natural order, else found by the pruned search: one list."""
     if k == 0 and len(t.attributes) <= BITMAP_ATTRIBUTES:
         return _bitmap_minimal_masks(t)
     return _pruned_minimal_masks(t, k)
 
 
-def _bitmap_minimal_masks(t: TrainingContext):
-    """The minimal hypotheses (k = 0) off the positive intent bitmap, whose
-    positions run in lectic order: the intents inside no negative row are
-    the hypotheses, and those strictly above another are dropped.  The set
-    bits left are few, so they are walked one low bit at a time."""
-    lectic, hyps = t.positive._lectic_map()
-    n = len(t.attributes)
+def _bitmap_minimal_masks(t: TrainingContext) -> list:
+    """The minimal hypotheses (k = 0) off the positive intent bitmap (bit s
+    stands for the mask s): the intents inside no negative row, less those
+    strictly above another, walked bit by bit and sorted into lectic order."""
+    n = t.positive._width()
+    hyps = _row_closure(set(t.positive._rows), n)
     for r in set(t.negative._rows):
-        hyps &= ~_interval(0, lectic[r], n)
+        hyps &= ~_interval(0, r, n)
     if not hyps:
-        yield (1 << n) - 1
-        return
-    minimal = hyps & ~_strictly_above(hyps, n)
-    while minimal:
-        low = minimal & -minimal
-        yield lectic[low.bit_length() - 1]
-        minimal ^= low
+        return [(1 << n) - 1]
+    # Lectic order by bit strings read from attribute 0 up: the first differing
+    # character is the lowest differing attribute, "1" in the later mask; of a
+    # string and its proper prefix, the longer holds the next attribute, so is later.
+    return sorted(bits(hyps & ~_strictly_above(hyps, n)), key=lambda m: bin(m)[:1:-1])
 
 
 def _pruned_minimal_masks(t: TrainingContext, k: int):

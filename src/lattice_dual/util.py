@@ -13,10 +13,10 @@ where they differ comes later.  Close-by-One, `closed_masks`, lists
 downsets, and in that order the intents and the minimal hypotheses of
 contexts wider than `context.BITMAP_ATTRIBUTES` (of any context for
 k > 0), and the sets closed under implications over more than
-`implications.IS_BASE_GUARD` attributes.  The intents of narrower contexts
-and their minimal hypotheses are read off one bitmap of every attribute
-subset, indexed so that its positions run in lectic order; base
-recognition up to that guard compares two such bitmaps."""
+`implications.IS_BASE_GUARD` attributes.  The narrower questions are read
+off bitmaps of every attribute subset, bit s standing for the mask s; only
+the intents' bitmap is bit-reversed, so that its positions run in lectic
+order."""
 
 import os
 from bisect import bisect_left, bisect_right

@@ -412,6 +412,21 @@ def test_dual_dualize_mixed_name_types(capsys, tmp_path):
     assert json.loads(out) == [[1, "a"]]
 
 
+@pytest.mark.parametrize("subverb", ["dualize", "brute"])
+@pytest.mark.parametrize("number", ["NaN", "1e400", "-Infinity"])
+@pytest.mark.parametrize("where", ["poset", "a"])
+def test_dual_refuses_non_finite_numbers(capsys, tmp_path, subverb, number, where):
+    # json.dumps would echo such a name as NaN or Infinity, which is not JSON
+    poset, a, b = write_poset_inputs(tmp_path, ["x"], [], [], [["x"]])
+    if where == "poset":
+        (tmp_path / "poset.json").write_text(f'{{"elements": [{number}, "x"], "less_than": []}}')
+    else:
+        (tmp_path / "a.json").write_text(f"[[{number}]]")
+    code, out, err = run_cli(capsys, "dual", subverb, "--poset", poset, "--a", a, "--b", b)
+    assert (code, out) == (2, "")
+    assert f"non-finite number {number} in JSON" in err
+
+
 def test_dual_non_downset_exit_2(capsys, tmp_path):
     poset, a, b = write_poset_inputs(
         tmp_path, ["p1", "p2"], [["p1", "p2"]], [["p2"]], [[]]
@@ -727,7 +742,8 @@ _any_json = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_keys, inner, max_size=4),
     max_leaves=6,
 )
-_broken_json = st.sampled_from(["", "[", "{", '{"elements": [', "[[]", "nul", "\x00"])
+_broken_json = st.sampled_from(["", "[", "{", '{"elements": [', "[[]", "nul", "\x00",
+                                '{"elements": [NaN, 1e400], "less_than": []}', '[["a", Infinity]]'])
 
 
 @st.composite
@@ -828,6 +844,10 @@ def _cli_call(draw):
     return argv, files, draw(st.sampled_from([None, None, None, "0", "1", "-1", "x"]))
 
 
+def _refuse_non_finite(text):
+    raise ValueError(f"{text} on stdout is not JSON")
+
+
 @settings(max_examples=200, deadline=None)
 @given(call=_cli_call())
 def test_fuzz_main_keeps_its_exit_and_stdout_contract(tmp_path_factory, call):
@@ -850,4 +870,4 @@ def test_fuzz_main_keeps_its_exit_and_stdout_contract(tmp_path_factory, call):
     assert code in (0, 2, 3) or (code == 1 and strict), (argv, err.getvalue())
     if out.getvalue():
         assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n")
-        json.loads(out.getvalue())
+        json.loads(out.getvalue(), parse_constant=_refuse_non_finite)

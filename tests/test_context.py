@@ -174,6 +174,53 @@ def test_the_per_width_tables_of_the_bitmap():
             assert bitmap == int(flags, 2)
 
 
+def bitmap_of(predicate, n: int) -> int:
+    """The 2^n-bit map whose bit s is set exactly when predicate(s) holds."""
+    return sum(1 << s for s in range(1 << n) if predicate(s))
+
+
+def map_helper_cases():
+    """(n, rng) for every width up to 8, each with its own random stream."""
+    for n in range(9):
+        yield n, random.Random(4099 + n)
+
+
+def test_interval_is_the_masks_between_two_sets():
+    for n, rng in map_helper_cases():
+        full = (1 << n) - 1
+        pairs = [(0, 0), (0, full), (full, full), (full, 0)]
+        pairs += [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(12)]
+        pairs += [(low & high, high) for low, high in pairs]
+        for low, high in pairs:
+            expected = bitmap_of(lambda s: not low & ~s and not s & ~high, n)
+            assert context._interval(low, high, n) == expected, (n, low, high)
+
+
+def test_strictly_above_is_every_proper_superset_of_a_member():
+    for n, rng in map_helper_cases():
+        families = [[], [0], [(1 << n) - 1], list(range(1 << n))]
+        families += [rng.sample(range(1 << n), rng.randint(1, min(6, 1 << n)))
+                     for _ in range(12)]
+        for members in families:
+            family = sum(1 << m for m in members)
+            expected = bitmap_of(lambda s: any(not m & ~s and m != s for m in members), n)
+            assert context._strictly_above(family, n) == expected, (n, members)
+
+
+def test_row_closure_is_m_closed_under_intersection_with_the_rows():
+    for n, rng in map_helper_cases():
+        full = (1 << n) - 1
+        shapes = [[], [0], [full], [full, 0]]
+        shapes += [[rng.getrandbits(n) | rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+                   for _ in range(12)]
+        for rows in shapes:
+            closed, frontier = {full}, {full}
+            while frontier:
+                frontier = {c & r for c in frontier for r in rows} - closed
+                closed |= frontier
+            assert context._row_closure(set(rows), n) == bitmap_of(closed.__contains__, n)
+
+
 def close_by_one_intents(ctx) -> list:
     return list(closed_masks(*ctx._extent_step()))
 

@@ -393,6 +393,15 @@ def test_amh_answers_match_the_pruned_search():
                 find_new_min_h(t, names)
 
 
+def test_the_hypothesis_map_builds_no_lectic_table():
+    # the positive intent map is in natural order: only intent_masks reads
+    # the lectic table
+    t = mask_training(BITMAP_ATTRIBUTES, [0b1011, 0b0110, 0b1100], [0b0010, 0b1000])
+    tables = _lectic.cache_info()
+    assert minimal_hypotheses(t) == [{"m2"}, {"m0", "m1", "m3"}]
+    assert _lectic.cache_info() == tables
+
+
 def test_the_bitmap_route_is_guarded_before_any_map(capsys, tmp_path, monkeypatch):
     t = mask_training(12, [(1 << 12) - 1], [0])
     train = tmp_path / "train.json"
