@@ -164,12 +164,10 @@ def _run_dual(args) -> int:
 
 
 def _run_reduce(args) -> int:
-    from .context import write_cxt
-    from .hypotheses import training_to_json
-    from .implications import dci_to_mibr, implications_from_json, implications_to_json
-    from .reductions import parse_dimacs, sat_to_amh
-
     if args.subverb == "sat2amh":
+        from .hypotheses import training_to_json
+        from .reductions import parse_dimacs, sat_to_amh
+
         if not args.cnf:
             raise ValueError("sat2amh needs --cnf")
         cnf = parse_dimacs(_read(args.cnf))
@@ -180,6 +178,9 @@ def _run_reduce(args) -> int:
         }
         _emit(doc)
     elif args.subverb == "dci2mibr":
+        from .context import write_cxt
+        from .implications import dci_to_mibr, implications_from_json, implications_to_json
+
         if not (args.context and args.a and args.b and args.base):
             raise ValueError("dci2mibr needs --context, --a, --b and --base")
         ctx = _load_context(args.context)

@@ -7,7 +7,6 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .context import FormalContext, _interval, _row_closure
-from .poset import Poset
 from .util import (
     Codec, _star, check_guard, closed_masks, is_mask_antichain, is_name_list, name_key
 )
@@ -114,15 +113,15 @@ def _closed_sets_are_intents(ctx: FormalContext, rules) -> bool:
     return all(ctx._close_amask(x) == x for x in closed_masks(children, (_chain(rules, 0), None)))
 
 
-def contraordinal_context(poset: Poset) -> FormalContext:
+def contraordinal_context(poset) -> FormalContext:
     """Context on P x P with p I q iff NOT p <= q; its intents are exactly
     the downsets of the poset."""
     names, full = poset.elements, (1 << len(poset)) - 1
     return FormalContext._from_rows(names, names, [full & ~up for up in poset._up])
 
 
-def distributive_min_base(poset: Poset) -> list:
-    """One-element-premise base of the downset lattice: {q} -> lower covers
+def distributive_min_base(poset) -> list:
+    """One-element-premise base of a poset's downset lattice: {q} -> lower covers
     of q for every non-minimal q.  Its closed sets are the downsets."""
     out = []
     for q in poset.elements:

@@ -705,6 +705,28 @@ def test_cxt_errors(text, message):
         parse_cxt(text)
 
 
+def test_cxt_reads_crlf_lines_as_lf_lines():
+    assert parse_cxt("B\r\n\r\n1\r\n1\r\n\r\ng1\r\nm1\r\nX\r\n").row("g1") == {"m1"}
+    rng = random.Random(41)
+    for _ in range(30):
+        text = write_cxt(random_context(rng, 6, 6, min_objects=0))
+        assert parse_cxt(text.replace("\n", "\r\n")) == parse_cxt(text)
+
+
+def test_cxt_keeps_a_lone_cr_in_its_line():
+    ctx = parse_cxt("B\n\n1\n1\n\ng\r1\nm1\nX\n")
+    assert ctx.objects == ("g\r1",)
+    with pytest.raises(ValueError, match=re.escape("malformed .cxt incidence row: 'X\\r'")):
+        parse_cxt("B\n\n1\n1\n\ng1\nm1\nX\r")
+
+
+@pytest.mark.parametrize("cut", [1, 3, 12, 19])
+def test_truncated_crlf_cxt_still_raises(cut):
+    text = "B\r\n\r\n1\r\n1\r\n\r\ng1\r\nm1\r\nX\r\n"[:cut]
+    with pytest.raises(ValueError, match="truncated .cxt file"):
+        parse_cxt(text)
+
+
 def test_row_mask_reads_x_dot_rows_only():
     assert _row_mask("X.X", 3) == 0b101
     assert _row_mask("", 0) == 0

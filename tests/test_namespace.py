@@ -149,15 +149,29 @@ def verb_calls(tmp_path):
     b.write_text(json.dumps([["p1"], ["p2"]]))
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 2 1\n1 -2 0\n")
+    # every subset is an intent of the contranominal scale: the empty base is
+    # a base, and these two antichains of intents satisfy (*)
+    none, top, halves = tmp_path / "none.json", tmp_path / "top.json", tmp_path / "halves.json"
+    none.write_text("[]")
+    top.write_text(json.dumps([["m1", "m2", "m3"]]))
+    halves.write_text(json.dumps([["m1", "m2"], ["m3"]]))
+    hypo = ["--pos", str(pos), "--neg", str(neg)]
     return {
         "ctx": ["ctx", "concepts", "--context", str(c3)],
-        "hypo": ["hypo", "minimal", "--pos", str(pos), "--neg", str(neg)],
+        "hypo": ["hypo", "minimal", *hypo],
         "dual": ["dual", "test", "--poset", str(poset), "--a", str(a), "--b", str(b)],
         "dualize": ["dual", "dualize", "--poset", str(poset), "--a", str(a)],
         "brute": ["dual", "brute", "--poset", str(poset), "--a", str(a), "--b", str(b)],
         "reduce": ["reduce", "sat2amh", "--cnf", str(cnf)],
         "usage": ["dual", "frobnicate"],
         "help": ["--help"],
+        "ctx-reduce": ["ctx", "reduce", "--context", str(c3)],
+        "close": ["ctx", "close", "--context", str(c3), "--set", "m1"],
+        "all": ["hypo", "all", *hypo],
+        "classify": ["hypo", "classify", *hypo, "--intent", "m1,m2,m3"],
+        "amh": ["hypo", "amh", *hypo, "--hyps", str(none)],
+        "dci2mibr": ["reduce", "dci2mibr", "--context", str(c3), "--a", str(top),
+                     "--b", str(halves), "--base", str(none)],
     }
 
 
@@ -167,12 +181,19 @@ def verb_calls(tmp_path):
         ("ctx", 0, ["context"]),
         ("hypo", 0, ["context", "hypotheses"]),
         ("dual", 0, ["duality", "poset"]),
-        ("reduce", 0, ["context", "hypotheses", "implications", "poset", "reductions"]),
+        # sat2amh
+        ("reduce", 0, ["context", "hypotheses", "poset", "reductions"]),
         ("usage", 2, []),
         ("help", 0, []),
         # the brute-force paths enumerate downsets without the context layer
         ("dualize", 0, ["duality", "poset"]),
         ("brute", 0, ["duality", "poset"]),
+        ("ctx-reduce", 0, ["context"]),
+        ("close", 0, ["context"]),
+        ("all", 0, ["context", "hypotheses"]),
+        ("classify", 0, ["context", "hypotheses"]),
+        ("amh", 0, ["context", "hypotheses"]),
+        ("dci2mibr", 0, ["context", "implications"]),
     ],
 )
 def test_verb_loads_only_its_layers(verb_calls, verb, exit_code, layers):
