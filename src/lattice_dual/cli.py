@@ -18,8 +18,8 @@ from .util import GuardExceeded, family_key, is_name_list
 
 
 def _read(path: str) -> str:
-    """The file's text; "utf-8-sig" drops one leading byte-order mark."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    """The file's text, line ends as written; "utf-8-sig" drops one leading byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return fh.read()
 
 

@@ -388,6 +388,9 @@ def _row_text(row: int, n: int) -> str:
 
 
 def write_cxt(ctx: FormalContext) -> str:
+    for name in (*ctx.objects, *ctx.attributes):
+        if not isinstance(name, str) or "\n" in name or name.endswith("\r"):
+            raise ValueError(f"name {name!r} cannot be written to a .cxt file")
     out = ["B", "", str(len(ctx.objects)), str(len(ctx.attributes)), ""]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)

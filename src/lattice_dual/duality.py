@@ -104,17 +104,15 @@ def easy_test(inst: DualityInstance) -> bool:
 def brute_force_dual(inst: DualityInstance) -> DualityVerdict:
     """Oracle: check the covering condition over every downset of the poset.
 
-    The witness (when not dual) is the first uncovered downset in
-    all_downsets enumeration order.
+    The downsets are swept as masks in the family order, as all_downsets
+    lists them, so the witness (when not dual) is the first uncovered one.
     """
     if not check_star(inst):
         raise ValueError("property (*) violated")
-    for x in inst.poset.all_downsets():
-        if any(a <= x for a in inst.a):
-            continue
-        if any(x <= b for b in inst.b):
-            continue
-        return DualityVerdict(False, x)
+    _, a, b = _masks(inst)
+    for x in sorted(inst.poset._downset_masks(), key=family_key):
+        if all(m & ~x for m in a) and all(x & ~m for m in b):
+            return DualityVerdict(False, inst.poset._codec.members(x))
     return DualityVerdict(True)
 
 

@@ -10,7 +10,6 @@ from itertools import combinations
 
 from .context import FormalContext, _irreducible
 from .hypotheses import TrainingContext, is_hypothesis
-from .poset import Poset
 from .util import is_mask_antichain, maximal_masks, pack
 
 
@@ -206,6 +205,8 @@ class ExplicitLattice:
     """
 
     def __init__(self, elements, leq):
+        from .poset import Poset
+
         self._store(Poset(elements, leq))
 
     def _store(self, poset: Poset) -> None:
@@ -234,6 +235,8 @@ class ExplicitLattice:
 
     @classmethod
     def from_pairs(cls, names, pairs) -> "ExplicitLattice":
+        from .poset import Poset
+
         lattice = cls.__new__(cls)
         lattice._store(Poset.from_pairs(names, pairs))
         return lattice

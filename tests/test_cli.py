@@ -661,6 +661,55 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path, monkeypatch, argv):
     assert "deep.json: JSON nested too deeply" in err
 
 
+# Files reach their parsers as written: a CRLF line reads as its LF form,
+# and a lone CR is part of its line.
+
+
+@pytest.mark.parametrize(
+    "verb, flag, text",
+    [
+        (["ctx", "concepts"], "--context", write_cxt(contranominal_scale(3))),
+        (["hypo", "minimal"], "--train", json.dumps(training_to_json(make_worked_training()), indent=1)),
+        (["reduce", "sat2amh"], "--cnf", "c two clauses\np cnf 2 2\n1 -2 0\n-1 0\n%\n0\n"),
+    ],
+    ids=["cxt", "training-json", "dimacs"],
+)
+def test_crlf_files_read_as_their_lf_form(capsys, tmp_path, verb, flag, text):
+    runs = []
+    for end in ("\n", "\r\n"):
+        path = tmp_path / "input"
+        path.write_text(text.replace("\n", end), newline="")
+        runs.append(run_cli(capsys, *verb, flag, str(path)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+def test_ctx_keeps_a_lone_cr_in_an_object_name(capsys, tmp_path):
+    path = tmp_path / "cr.cxt"
+    path.write_text(write_cxt(FormalContext.from_intents(["g\r1"], ["m1"], [{"m1"}])), newline="")
+    code, out, _ = run_cli(capsys, "ctx", "concepts", "--context", str(path))
+    assert (code, json.loads(out)) == (0, [{"extent": ["g\r1"], "intent": ["m1"]}])
+
+
+def test_ctx_does_not_break_lines_at_a_lone_cr(capsys, tmp_path):
+    path = tmp_path / "cr.cxt"
+    path.write_text("B\r\r1\r1\r\rg1\rm1\rX\r", newline="")
+    code, out, err = run_cli(capsys, "ctx", "concepts", "--context", str(path))
+    assert (code, out, err) == (2, "", "error: malformed .cxt header: expected 'B'\n")
+
+
+def test_reduce_dci2mibr_refuses_a_name_it_cannot_write(capsys, tmp_path):
+    # the last line's CR stays in the attribute name, which write_cxt refuses
+    files = {"context": "B\n\n0\n1\n\nm\r", "a": '[["m\\r"]]', "b": "[]",
+             "base": '[{"premise": [], "conclusion": ["m\\r"]}]'}
+    argv = ["reduce", "dci2mibr"]
+    for flag, text in files.items():
+        (tmp_path / flag).write_text(text, newline="")
+        argv += [f"--{flag}", str(tmp_path / flag)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: name 'm\\r' cannot be written to a .cxt file\n")
+
+
 @pytest.mark.parametrize(
     "verb, inputs",
     [

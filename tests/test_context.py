@@ -720,6 +720,35 @@ def test_cxt_keeps_a_lone_cr_in_its_line():
         parse_cxt("B\n\n1\n1\n\ng1\nm1\nX\r")
 
 
+def _writable(name) -> bool:
+    """A name that a .cxt line holds and gives back: a string with no line
+    feed and no trailing CR, which CRLF reading would drop."""
+    return isinstance(name, str) and "\n" not in name and not name.endswith("\r")
+
+
+_cxt_names = st.lists(st.text("g\r\n", max_size=3) | st.integers(0, 3), max_size=3, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cxt_names, _cxt_names, st.data())
+def test_write_cxt_refuses_exactly_the_names_it_cannot_give_back(objects, attributes, data):
+    incidence = st.lists(st.sampled_from(attributes), unique=True) if attributes else st.just([])
+    ctx = FormalContext.from_intents(objects, attributes, [data.draw(incidence) for _ in objects])
+    bad = [name for name in (*objects, *attributes) if not _writable(name)]
+    if bad:
+        with pytest.raises(ValueError, match=re.escape(f"name {bad[0]!r} cannot be written")):
+            write_cxt(ctx)
+    else:
+        assert parse_cxt(write_cxt(ctx)) == ctx
+
+
+def test_a_name_ends_in_cr_only_on_the_last_line():
+    ctx = parse_cxt("B\n\n0\n1\n\nm\r")
+    assert ctx.attributes == ("m\r",)
+    with pytest.raises(ValueError, match="cannot be written"):
+        write_cxt(ctx)
+
+
 @pytest.mark.parametrize("cut", [1, 3, 12, 19])
 def test_truncated_crlf_cxt_still_raises(cut):
     text = "B\r\n\r\n1\r\n1\r\n\r\ng1\r\nm1\r\nX\r\n"[:cut]

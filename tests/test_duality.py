@@ -150,6 +150,34 @@ def test_witness_invariant():
             assert inst.poset.is_downset(verdict.witness)
 
 
+def _first_uncovered(inst):
+    """The first member of all_downsets() holding no A-member and lying in
+    no B-member, by set comparisons; None when there is none."""
+    for x in inst.poset.all_downsets():
+        if not any(a <= x for a in inst.a) and not any(x <= b for b in inst.b):
+            return x
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_witness_is_the_first_uncovered_downset(seed, twin):
+    """On a planted dual instance less one B-member (that member is then
+    uncovered; A = {empty set} has no B-member to drop), or on a random
+    draw, which is mostly not dual."""
+    rng = random.Random(seed)
+    if twin:
+        inst = planted_instance(rng, 12, 5)
+        if inst.b:
+            fam_b = list(inst.b)
+            del fam_b[rng.randrange(len(fam_b))]
+            inst = DualityInstance(inst.poset, inst.a, fam_b)
+    else:
+        inst = random_instance(rng, 12, 5)
+    witness = _first_uncovered(inst)
+    assert tuple(brute_force_dual(inst)) == (witness is None, witness)
+
+
 # -- brute-force dualization --------------------------------------------------
 
 

@@ -182,7 +182,7 @@ def verb_calls(tmp_path):
         ("hypo", 0, ["context", "hypotheses"]),
         ("dual", 0, ["duality", "poset"]),
         # sat2amh
-        ("reduce", 0, ["context", "hypotheses", "poset", "reductions"]),
+        ("reduce", 0, ["context", "hypotheses", "reductions"]),
         ("usage", 2, []),
         ("help", 0, []),
         # the brute-force paths enumerate downsets without the context layer
