@@ -26,9 +26,11 @@ Concept = namedtuple("Concept", "extent intent")
 class FormalContext:
     """Immutable objects x attributes incidence table.
 
-    Objects and attributes each have a codec.  Incidence is kept both as
-    per-object attribute bitmasks and per-attribute object bitmasks, so
-    both derivation directions are one intersection loop.
+    Objects and attributes each have a codec.  Incidence is kept as
+    per-object attribute bitmasks, and, from the first read of `_cols`, as
+    per-attribute object bitmasks too, so both derivation directions are one
+    intersection loop.  The intents of narrow contexts are read off the rows
+    alone, so their columns are never built.
     """
 
     __slots__ = ("objects", "attributes", "_rows", "_cols", "_ocodec", "_acodec")
@@ -44,7 +46,16 @@ class FormalContext:
         self.objects, self.attributes = ocodec.names, acodec.names
         self._ocodec, self._acodec = ocodec, acodec
         self._rows = tuple(rows)
-        self._cols = tuple(transpose(rows, len(acodec.names)))
+
+    def __getattr__(self, name):
+        """Builds the columns at their first read and keeps them in their
+        slot, so every later read is a plain slot read: a property would
+        add a call to each `_extent_amask`, which the pruned search makes
+        once per closed set.  Called only for names not found otherwise."""
+        if name != "_cols":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._cols = cols = tuple(transpose(self._rows, len(self.attributes)))
+        return cols
 
     @classmethod
     def _from_rows(cls, objects, attributes, rows) -> "FormalContext":
@@ -85,7 +96,8 @@ class FormalContext:
 
     def derive_objects(self, objs: Iterable[str]) -> frozenset:
         """Attributes shared by every object of the set; all of M for the empty set."""
-        return self._acodec.members(_meet(self._rows, len(self._cols), self._ocodec.encode(objs)))
+        n = len(self.attributes)
+        return self._acodec.members(_meet(self._rows, n, self._ocodec.encode(objs)))
 
     def derive_attributes(self, attrs: Iterable[str]) -> frozenset:
         """Objects possessing every attribute of the set; all of G for the empty set."""
@@ -123,7 +135,7 @@ class FormalContext:
     def _width(self) -> int:
         """The attribute count, checked against the enumeration guard: every
         enumeration over the context starts here."""
-        n = len(self._cols)
+        n = len(self.attributes)
         check_guard(n, CONCEPTS_GUARD, "concept enumeration")
         return n
 
@@ -155,8 +167,10 @@ class FormalContext:
                 c = failed.get(e)
                 if c is None:
                     c = _meet(rows, n, e)
-                if c & outside & (bit - 1):
-                    failed[e] = c
+                    if c & outside & (bit - 1):
+                        failed[e] = c
+                        continue
+                elif c & outside & (bit - 1):
                     continue
                 out.append((c, e, j + 1))
             return out
@@ -169,7 +183,7 @@ class FormalContext:
         BITMAP_ATTRIBUTES attributes by Close-by-One, up to it off the one
         subset bitmap laid out by the lectic table (bit i stands for the
         mask lectic[i]), whose ascending positions run in lectic order."""
-        if len(self._cols) > BITMAP_ATTRIBUTES:
+        if len(self.attributes) > BITMAP_ATTRIBUTES:
             return list(closed_masks(*self._extent_step()))
         n = self._width()
         lectic = _lectic(n)
@@ -334,7 +348,9 @@ def reduce_context(ctx: FormalContext) -> FormalContext:
 
 
 def parse_cxt(text: str) -> FormalContext:
-    """Parse a Burmeister .cxt file of LF or CRLF lines, rejecting dimension mismatches."""
+    """Parse a Burmeister .cxt file of LF or CRLF lines, rejecting dimension
+    mismatches and names ending in CR, which `write_cxt` cannot give back: so
+    every context read writes back."""
     lines = text.replace("\r\n", "\n").split("\n")
     pos = 0
 
@@ -361,6 +377,9 @@ def parse_cxt(text: str) -> FormalContext:
         raise ValueError("malformed .cxt header: expected blank line before names")
     objects = [take() for _ in range(n_obj)]
     attributes = [take() for _ in range(n_att)]
+    for name in (*objects, *attributes):
+        if name.endswith("\r"):
+            raise ValueError(f"malformed .cxt name: {name!r} ends in CR")
     rows = []
     for _ in range(n_obj):
         row = take()

@@ -20,6 +20,7 @@ order."""
 
 import os
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import compress, filterfalse
 from operator import lt
 
@@ -194,8 +195,9 @@ class Codec:
         sets of a mask's bytes are joined: two bytes up to 16 names, three
         up to 24.  Each union copies a set, so wider codecs decode through
         the byte selector of `members`.  The tables cost about 50 us per
-        full byte; they are built at the first call and kept, so building a
-        codec costs no more.
+        full byte; they are fetched at the first call and kept, so building
+        a codec costs no more, and codecs whose bytes hold equal names
+        share them (see `_byte_table`).
         """
         n = len(self.names)
         if n > 24:
@@ -214,15 +216,33 @@ class Codec:
         return self.sets(sorted(masks, key=family_key))
 
 
-def _byte_table(names: tuple) -> list:
+def _byte_table(names: tuple) -> tuple:
     """The 256 name sets of one byte of a mask, whose bits stand for names
     (at most 8): entry v holds names[i] for each set bit i of v below
-    len(names), so bits beyond the universe are dropped."""
+    len(names), so bits beyond the universe are dropped.
+
+    A byte whose names are all exactly `str` or `int` shares its table with
+    every equal byte, through `_shared_byte_table`.  Other names get a table
+    of their own: equal names of other types may print differently (1, 1.0
+    and True; 0.0 and -0.0), and a shared table would hand one codec the
+    other's.
+    """
+    if all(type(x) is str or type(x) is int for x in names):
+        return _shared_byte_table(names)
+    return _build_byte_table(names)
+
+
+def _build_byte_table(names: tuple) -> tuple:
     table = [frozenset()]
     for x in names:
         one = {x}
         table += [s | one for s in table]
-    return table * (256 // len(table))
+    return tuple(table * (256 // len(table)))
+
+
+# A full 8-name table of short strings takes about 80 KB (tracemalloc), so
+# the 32 kept tables take about 2.5 MB at most.
+_shared_byte_table = lru_cache(maxsize=32)(_build_byte_table)
 
 
 # -- antichains of masks -----------------------------------------------

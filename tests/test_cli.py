@@ -698,8 +698,17 @@ def test_ctx_does_not_break_lines_at_a_lone_cr(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: malformed .cxt header: expected 'B'\n")
 
 
+@pytest.mark.parametrize("text", ["B\n\n0\n1\n\nm\r", "B\r\n\r\n0\r\n1\r\n\r\nm\r\r\n"])
+def test_ctx_concepts_refuses_a_name_ending_in_cr(capsys, tmp_path, text):
+    path = tmp_path / "cr.cxt"
+    path.write_text(text, newline="")
+    code, out, err = run_cli(capsys, "ctx", "concepts", "--context", str(path))
+    assert (code, out, err) == (2, "", "error: malformed .cxt name: 'm\\r' ends in CR\n")
+
+
 def test_reduce_dci2mibr_refuses_a_name_it_cannot_write(capsys, tmp_path):
-    # the last line's CR stays in the attribute name, which write_cxt refuses
+    # the last line's CR would stay in the attribute name, which write_cxt
+    # refuses, so reading the context refuses it
     files = {"context": "B\n\n0\n1\n\nm\r", "a": '[["m\\r"]]', "b": "[]",
              "base": '[{"premise": [], "conclusion": ["m\\r"]}]'}
     argv = ["reduce", "dci2mibr"]
@@ -707,7 +716,7 @@ def test_reduce_dci2mibr_refuses_a_name_it_cannot_write(capsys, tmp_path):
         (tmp_path / flag).write_text(text, newline="")
         argv += [f"--{flag}", str(tmp_path / flag)]
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out, err) == (2, "", "error: name 'm\\r' cannot be written to a .cxt file\n")
+    assert (code, out, err) == (2, "", "error: malformed .cxt name: 'm\\r' ends in CR\n")
 
 
 @pytest.mark.parametrize(

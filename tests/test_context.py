@@ -1,6 +1,8 @@
 """Formal contexts: derivation, closure, concepts, reduction, .cxt I/O."""
 
+import copy
 import itertools
+import pickle
 import random
 import re
 from collections import Counter
@@ -13,8 +15,12 @@ from hypothesis import strategies as st
 from lattice_dual import (
     FormalContext,
     GuardExceeded,
+    Implication,
+    TrainingContext,
     contraordinal_context,
     contranominal_scale,
+    is_base,
+    minimal_hypotheses,
     parse_cxt,
     reduce_context,
     write_cxt,
@@ -22,6 +28,7 @@ from lattice_dual import (
 
 from lattice_dual import context
 from lattice_dual.context import BITMAP_ATTRIBUTES, _row_mask
+from lattice_dual.hypotheses import _pruned_minimal_masks
 from lattice_dual.util import closed_masks
 
 from conftest import brute_intents, lectic_flags, random_context, random_poset
@@ -425,6 +432,101 @@ def test_contranominal_all_subsets_closed_sampled():
         assert ctx.close_attributes(sub) == frozenset(sub)
 
 
+# -- columns on first read -----------------------------------------------
+
+
+def rows_context(rows, n: int) -> FormalContext:
+    return FormalContext._from_rows([f"g{i}" for i in range(len(rows))],
+                                    [f"m{j}" for j in range(n)], rows)
+
+
+def eager(ctx: FormalContext) -> FormalContext:
+    """The same context with its columns set at once, bit by bit."""
+    out = rows_context(ctx._rows, len(ctx.attributes))
+    out._cols = tuple(sum((r >> j & 1) << i for i, r in enumerate(ctx._rows))
+                      for j in range(len(ctx.attributes)))
+    return out
+
+
+def column_shapes():
+    """(rows, n): 0 x 0, 0 x n, n x 0 and random contexts up to 9 x 8."""
+    rng = random.Random(83)
+    shapes = [([], 0), ([], 3), ([0, 0, 0], 0)]
+    for _ in range(40):
+        n = rng.randint(0, 8)
+        shapes.append(([rng.getrandbits(n) for _ in range(rng.randint(0, 9))], n))
+    return shapes
+
+
+def column_readers(ref: FormalContext):
+    """Each public reader of the columns, as a function of a context, with
+    arguments drawn from the reference context."""
+    rng = random.Random(len(ref.objects) * 97 + len(ref.attributes))
+    subsets = [{m for m in ref.attributes if rng.random() < 0.4} for _ in range(6)] + [set()]
+    rules = [Implication(s, ref.close_attributes(s)) for s in subsets]
+    rules += [Implication(s, ref.attributes[:2]) for s in subsets[:2]]
+    return {
+        "column": lambda c: [c.column(m) for m in c.attributes],
+        "derive_attributes": lambda c: [c.derive_attributes(s) for s in subsets],
+        "close_attributes": lambda c: [c.close_attributes(s) for s in subsets],
+        "is_closed": lambda c: [c.is_closed(s) for s in subsets],
+        "concepts": lambda c: [x.extent for x in c.concepts()],
+        "reduce_context": lambda c: write_cxt(reduce_context(c)),
+        "close_by_one": close_by_one_intents,
+        "is_base": lambda c: [is_base(c, rules), is_base(c, rules[:-3])],
+    }
+
+
+@pytest.mark.parametrize("shape", column_shapes())
+def test_column_readers_match_an_eagerly_transposed_context(shape):
+    rows, n = shape
+    ref = eager(rows_context(rows, n))
+    for name, read in column_readers(ref).items():
+        lazy = rows_context(rows, n)
+        assert read(lazy) == read(ref), name
+        assert lazy._cols == ref._cols, name
+
+
+def test_narrow_intents_and_hypotheses_build_no_columns(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("columns built")
+
+    rng = random.Random(89)
+    trainings = []
+    for n in (0, 1, 5, BITMAP_ATTRIBUTES):
+        ctx = rows_context([rng.getrandbits(n) for _ in range(12)], n)
+        neg = FormalContext._from_rows(["h0", "h1"], ctx.attributes, [rng.getrandbits(n), 0])
+        trainings.append(TrainingContext(ctx, neg))
+    with monkeypatch.context() as patch:
+        patch.setattr(context, "transpose", refuse)
+        answers = [(t.positive.intents(), minimal_hypotheses(t, 0)) for t in trainings]
+        with pytest.raises(AssertionError, match="columns built"):
+            trainings[-1].positive.column("m0")
+    for t, (intents, hyps) in zip(trainings, answers):
+        assert intents == brute_intents(t.positive)
+        assert hyps == t.positive._acodec.family(_pruned_minimal_masks(t, 0))
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_copies_and_pickles_equal_the_context(read_first):
+    ctx = FormalContext.from_intents(["g1", "g2", "g3"], ["m1", "m2", "m3"],
+                                     [{"m1"}, {"m1", "m3"}, set()])
+    if read_first:
+        assert ctx.column("m1") == {"g1", "g2"}
+    copies = [copy.copy(ctx), copy.deepcopy(ctx)]
+    copies += [pickle.loads(pickle.dumps(ctx, p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert other == ctx and hash(other) == hash(ctx)
+        assert [other.column(m) for m in other.attributes] == [
+            ctx.column(m) for m in ctx.attributes]
+        assert other.intents() == ctx.intents()
+
+
+def test_other_missing_attributes_still_raise():
+    with pytest.raises(AttributeError, match="'FormalContext' object has no attribute 'extra'"):
+        contranominal_scale(3).extra
+
+
 # -- contranominal scale -------------------------------------------------
 
 
@@ -742,11 +844,31 @@ def test_write_cxt_refuses_exactly_the_names_it_cannot_give_back(objects, attrib
         assert parse_cxt(write_cxt(ctx)) == ctx
 
 
-def test_a_name_ends_in_cr_only_on_the_last_line():
-    ctx = parse_cxt("B\n\n0\n1\n\nm\r")
-    assert ctx.attributes == ("m\r",)
-    with pytest.raises(ValueError, match="cannot be written"):
-        write_cxt(ctx)
+def test_parse_cxt_refuses_a_name_ending_in_cr():
+    # write_cxt refuses such a name, so every context parse_cxt returns writes back
+    texts = [
+        "B\n\n0\n1\n\nm\r",  # the last line, with no LF after it
+        "B\r\n\r\n1\r\n1\r\n\r\ng\r\r\nm\r\n.\r\n",  # a CR before a CRLF
+        "B\n\n1\n2\n\ng\nm\r\r\nm2\n..\n",  # and not the last name
+    ]
+    for text in texts:
+        with pytest.raises(ValueError, match=r"malformed \.cxt name: '.*\\r' ends in CR"):
+            parse_cxt(text)
+
+
+_line_names = st.lists(st.text("g\r", max_size=3), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_line_names, _line_names, st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_every_context_parse_cxt_returns_writes_back(objects, attributes, eol, last_eol):
+    lines = ["B", "", str(len(objects)), str(len(attributes)), "", *objects, *attributes]
+    lines += ["." * len(attributes)] * len(objects)
+    try:
+        ctx = parse_cxt(eol.join(lines) + eol * last_eol)
+    except ValueError:
+        return
+    assert parse_cxt(write_cxt(ctx)) == ctx
 
 
 @pytest.mark.parametrize("cut", [1, 3, 12, 19])

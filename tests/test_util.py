@@ -30,6 +30,7 @@ from lattice_dual.util import (
     pack,
     transpose,
 )
+from lattice_dual import util
 
 UNIVERSE = Codec([f"e{i}" for i in range(300)], "element")
 
@@ -95,6 +96,46 @@ def test_sets_decode_each_mask_as_members(case):
     want = [codec.members(m) for m in masks]
     assert codec.sets(masks) == want
     assert codec.sets(iter(masks)) == want
+
+
+def test_codecs_over_equal_names_share_their_tables():
+    names = [f"e{i}" for i in range(20)] + [3, -1]
+    masks = [0, 1, 2**22 - 1, 0b1011 << 17, 0xA5A5A5]
+    a, b = Codec(names, "element"), Codec(list(names), "element")
+    assert a.sets(masks) == b.sets(masks) == [a.members(m) for m in masks]
+    assert all(x is y for x, y in zip(a._tables, b._tables))
+
+
+class Label(str):
+    def __repr__(self):
+        return f"Label({str(self)!r})"
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [([1], [1.0]), ([1], [True]), ([0.0], [-0.0]), (["a"], [Label("a")]),
+     (["a", 1, "b"], ["a", True, "b"])],
+)
+def test_equal_names_of_other_types_decode_to_their_own(first, then):
+    # 1, 1.0 and True are equal keys, as are 0.0 and -0.0, and a str
+    # subclass equals its text: each decodes to its own name
+    Codec(first, "element").sets([2**len(first) - 1])
+    codec = Codec(then, "element")
+    [decoded] = codec.sets([2**len(then) - 1])
+    assert sorted(map(repr, decoded)) == sorted(map(repr, then))
+    assert sorted(type(x).__name__ for x in decoded) == sorted(type(x).__name__ for x in then)
+
+
+def test_sets_decode_after_the_shared_tables_are_evicted():
+    held = util._shared_byte_table.cache_info().maxsize
+    codecs = [Codec([f"n{k}_{i}" for i in range(10)], "element") for k in range(2 * held + 1)]
+    masks = [0, 1, 2**10 - 1, 0b1010110011]
+    for codec in codecs:
+        assert codec.sets(masks) == [codec.members(m) for m in masks]
+    assert util._shared_byte_table.cache_info().currsize <= held
+    # the first codec keeps its tables; an equal codec built now rebuilds them
+    for codec in (codecs[0], Codec(codecs[0].names, "element")):
+        assert codec.sets(masks) == [codecs[0].members(m) for m in masks]
 
 
 @given(st.lists(st.one_of(st.text(max_size=3), st.integers(-50, 50)), unique=True, max_size=40))
